@@ -7,7 +7,8 @@
 //   parse           AnalysisService request parsing
 //   decompose       core::run_decompose_phase entry
 //   sg_build        sg::build_state_graph entry
-//   cache_insert    AnalysisService::finish_run retention
+//   cache_insert    design-level retention (svc::ByteStore::insert of
+//                   AnalysisService's design entries)
 //   gate_cache_insert  svc::GateCache::insert retention (the slice is
 //                   still served to its own flow, it just is not kept —
 //                   mirrors cache_insert one level down)

@@ -50,9 +50,16 @@ std::string fnv1a_hex(const std::string& text) {
   return out;
 }
 
-// The calibrated footprint accounting these entries are charged with
-// lives in svc/footprint.hpp, shared with the decomposition and gate-slice
-// cache levels so the one budget compares like with like.
+/// State codes pack one bit per signal into a 64-bit word
+/// (sg::GlobalSg::codes), so a wider design cannot be analysed.
+constexpr int kMaxSignals = 64;
+
+/// Bound on the cross-request state-graph cache: when a fresh run leaves
+/// more than this many memoized graphs, the SG cache is flushed (a coarse
+/// but safe valve — correctness is unaffected, the next flows just rebuild
+/// their graphs). Without it a long-running server on diverse traffic
+/// would grow without bound even under the cache byte budget.
+constexpr int kSgCacheMaxEntries = 1 << 16;
 
 }  // namespace
 
@@ -149,10 +156,6 @@ struct AnalysisService::Entry {
   std::shared_ptr<const std::string> canonical_json;
   std::shared_ptr<const core::RenderedReport> rendered;  // set with report
 
-  /// Bytes currently charged against the service budget. Guarded by the
-  /// SERVICE mutex, not this->mutex.
-  std::size_t charged_bytes = 0;
-
   /// A persistent-store spill was already attempted for this entry (set
   /// true on loaded entries too — they came FROM the store). Guarded by
   /// this->mutex. "Attempted", not "succeeded": a failed write is not
@@ -173,11 +176,12 @@ struct AnalysisService::Entry {
   /// Resident footprint of everything the entry currently holds. Called
   /// with `mutex` held (or by the sole runner before publishing).
   std::size_t footprint_bytes() const {
-    // The canonical string is charged twice: the cache map key holds a
-    // second copy, plus the map/list node overheads of the indexes.
-    std::size_t total = sizeof(Entry) + 2 * heap_bytes(canonical) +
-                        heap_bytes(key_hex) + heap_bytes(stg_canonical) +
-                        2 * kHashNodeBytes +
+    // The canonical string is charged twice (conservatively, for the
+    // store node's key), plus the charge the node records and the node
+    // and index overheads.
+    std::size_t total = sizeof(Entry) + sizeof(std::size_t) +
+                        2 * heap_bytes(canonical) + heap_bytes(key_hex) +
+                        heap_bytes(stg_canonical) + 2 * kHashNodeBytes +
                         sizeof(std::shared_ptr<Entry>) + 2 * sizeof(void*);
     if (artifacts.stg != nullptr) total += footprint(*artifacts.stg);
     if (artifacts.circuit != nullptr) total += footprint(*artifacts.circuit);
@@ -199,10 +203,12 @@ struct AnalysisService::Entry {
 
 AnalysisService::AnalysisService(ServiceOptions options)
     : options_(std::move(options)),
-      decomp_cache_(options_.decomp_cache ? options_.cache_budget_bytes : 0,
-                    &design_bytes_),
-      gate_cache_(options_.gate_cache ? options_.cache_budget_bytes : 0,
-                  &upper_level_bytes_) {
+      designs_(options_.cache_budget_bytes, /*shards=*/1,
+               base::FaultPoint::cache_insert),
+      decomp_cache_(options_.cache_budget_bytes),
+      gate_cache_(options_.cache_budget_bytes, /*reserved_bytes=*/nullptr) {
+  decomp_cache_.place_below(designs_);
+  gate_cache_.place_below(decomp_cache_);
   // The persistent store opens before the metric registrations so the
   // sitime_disk_store_* callbacks can read it unconditionally. A store
   // that failed to open stays constructed (ok() false) for the boot
@@ -237,9 +243,6 @@ void AnalysisService::register_metrics() {
       &metrics_.counter(kRequests, kRequestsHelp, "outcome=\"upgrade\"");
   coalesced_ =
       &metrics_.counter(kRequests, kRequestsHelp, "outcome=\"coalesced\"");
-  evictions_ = &metrics_.counter(
-      "sitime_design_cache_evictions_total",
-      "Design-cache entries dropped by the byte budget.");
   failures_ = &metrics_.counter(
       "sitime_request_failures_total",
       "Requests that ended in an error (every error_code).");
@@ -295,8 +298,8 @@ void AnalysisService::register_metrics() {
   // Scrape-time callbacks over the authoritative atomics that live
   // outside the registry. Owner tag `this`: the registry is a member, so
   // everything these read outlives every render.
-  auto cb = [this](const char* name, const char* help, const char* type,
-                   std::function<double()> read) {
+  auto cb = [this](const std::string& name, const std::string& help,
+                   const char* type, std::function<double()> read) {
     metrics_.callback(this, name, help, type, "", std::move(read));
   };
   cb("sitime_cancelled_subtasks_total",
@@ -305,18 +308,10 @@ void AnalysisService::register_metrics() {
        return static_cast<double>(
            cancelled_subtasks_.load(std::memory_order_relaxed));
      });
-  cb("sitime_design_cache_entries", "Resident design-cache entries.",
-     "gauge", [this] {
-       std::lock_guard<std::mutex> lock(mutex_);
-       return static_cast<double>(lru_.size());
-     });
-  cb("sitime_design_cache_bytes",
-     "Estimated resident footprint of the design cache.", "gauge", [this] {
-       return static_cast<double>(
-           design_bytes_.load(std::memory_order_relaxed));
-     });
   cb("sitime_cache_budget_bytes",
-     "Byte budget shared by the design and gate caches.", "gauge",
+     "Byte budget shared by the design, decomposition and gate-slice "
+     "caches.",
+     "gauge",
      [this] { return static_cast<double>(options_.cache_budget_bytes); });
   cb("sitime_sg_cache_hits_total", "Cross-request state-graph cache hits.",
      "counter", [this] { return static_cast<double>(sg_cache_.hits()); });
@@ -325,36 +320,38 @@ void AnalysisService::register_metrics() {
      [this] { return static_cast<double>(sg_cache_.misses()); });
   cb("sitime_sg_cache_entries", "Memoized state graphs resident.", "gauge",
      [this] { return static_cast<double>(sg_cache_.entries()); });
-  cb("sitime_decomp_cache_hits_total",
-     "Decomposition cache hits (STG-keyed; a hit skips the global-SG "
-     "rebuild of the decompose phase).",
-     "counter",
-     [this] { return static_cast<double>(decomp_cache_.hits()); });
-  cb("sitime_decomp_cache_misses_total", "Decomposition cache misses.",
-     "counter",
-     [this] { return static_cast<double>(decomp_cache_.misses()); });
-  cb("sitime_decomp_cache_evictions_total",
-     "Decompositions shed to fit the shared budget.", "counter",
-     [this] { return static_cast<double>(decomp_cache_.evictions()); });
-  cb("sitime_decomp_cache_entries", "Resident cached decompositions.",
-     "gauge",
-     [this] { return static_cast<double>(decomp_cache_.entries()); });
-  cb("sitime_decomp_cache_bytes",
-     "Estimated resident footprint of the decomposition cache.", "gauge",
-     [this] { return static_cast<double>(decomp_cache_.bytes()); });
-  cb("sitime_gate_cache_hits_total", "Gate-level slice cache hits.",
-     "counter", [this] { return static_cast<double>(gate_cache_.hits()); });
-  cb("sitime_gate_cache_misses_total", "Gate-level slice cache misses.",
-     "counter",
-     [this] { return static_cast<double>(gate_cache_.misses()); });
-  cb("sitime_gate_cache_evictions_total",
-     "Gate-level slices shed to fit the shared budget.", "counter",
-     [this] { return static_cast<double>(gate_cache_.evictions()); });
-  cb("sitime_gate_cache_entries", "Resident gate-level slices.", "gauge",
-     [this] { return static_cast<double>(gate_cache_.entries()); });
-  cb("sitime_gate_cache_bytes",
-     "Estimated resident footprint of the gate-level slice cache.",
-     "gauge", [this] { return static_cast<double>(gate_cache_.bytes()); });
+
+  // One family set per cache level. The design level's hits and misses
+  // are the request outcomes above, not index lookups.
+  struct Level {
+    const char* family;
+    const char* noun;
+    const StoreLevel* store;
+  };
+  for (const Level& level :
+       {Level{"sitime_design_cache", "design", &designs_},
+        Level{"sitime_decomp_cache", "decomposition", &decomp_cache_},
+        Level{"sitime_gate_cache", "gate-slice", &gate_cache_}}) {
+    const std::string family = level.family;
+    const std::string noun = level.noun;
+    const StoreLevel* store = level.store;
+    if (store != &designs_) {
+      cb(family + "_hits_total", "Hits of the " + noun + " cache.",
+         "counter", [store] { return static_cast<double>(store->hits()); });
+      cb(family + "_misses_total", "Misses of the " + noun + " cache.",
+         "counter",
+         [store] { return static_cast<double>(store->misses()); });
+    }
+    cb(family + "_evictions_total",
+       "Entries of the " + noun + " cache shed to fit the shared budget.",
+       "counter",
+       [store] { return static_cast<double>(store->evictions()); });
+    cb(family + "_entries", "Resident entries of the " + noun + " cache.",
+       "gauge", [store] { return static_cast<double>(store->entries()); });
+    cb(family + "_bytes",
+       "Estimated resident footprint of the " + noun + " cache.", "gauge",
+       [store] { return static_cast<double>(store->bytes()); });
+  }
 
   // Persistent-store counters: registered unconditionally (zero without
   // --cache-dir) so dashboards and the metrics_check catalog see a
@@ -433,8 +430,7 @@ core::FlowOptions AnalysisService::flow_options(
   options.sg_build.pool = options_.pool;
   options.sg_build.serial_seconds = sg_build_seconds_[0];
   options.sg_build.parallel_seconds = sg_build_seconds_[1];
-  if (options_.gate_cache && options_.cache_budget_bytes > 0)
-    options.gate_store = &gate_cache_;
+  if (options_.cache_budget_bytes > 0) options.gate_store = &gate_cache_;
   options.cancel = cancel;
   return options;
 }
@@ -475,14 +471,10 @@ bool AnalysisService::run_phases(const std::shared_ptr<Entry>& entry,
           // projections included. A design with no explicit netlist is
           // servable only when the cached value retained the synthesized
           // circuit.
-          const bool decomp_enabled =
-              options_.decomp_cache && options_.cache_budget_bytes > 0;
           const std::shared_ptr<const DecompCache::Value> cached =
-              decomp_enabled
-                  ? decomp_cache_.lookup(
-                        entry->stg_canonical,
-                        /*have_circuit=*/entry->artifacts.circuit != nullptr)
-                  : nullptr;
+              decomp_cache_.lookup(
+                  entry->stg_canonical,
+                  /*have_circuit=*/entry->artifacts.circuit != nullptr);
           if (cached != nullptr) {
             // The phase still executes (cheaply): it polls the same
             // fault and cancel points as a cold decompose, so injected
@@ -532,7 +524,6 @@ bool AnalysisService::run_phases(const std::shared_ptr<Entry>& entry,
               value.synth_eqn = netlist;
             }
             decomp_cache_.insert(entry->stg_canonical, std::move(value));
-            refresh_gate_allowance();
           }
           break;
         }
@@ -567,12 +558,10 @@ bool AnalysisService::run_phases(const std::shared_ptr<Entry>& entry,
             report = std::make_shared<const core::FlowReport>(
                 std::move(rendered));
           }
-          // Coarse valve on the cross-request SG memoization (see
-          // ServiceOptions): evicting design entries does not release the
-          // state graphs their flows inserted.
-          if (options_.sg_cache_max_entries > 0 &&
-              sg_cache_.entries() > options_.sg_cache_max_entries)
-            sg_cache_.clear();
+          // Coarse valve on the cross-request SG memoization: evicting
+          // design entries does not release the state graphs their flows
+          // inserted.
+          if (sg_cache_.entries() > kSgCacheMaxEntries) sg_cache_.clear();
           break;
         case core::Phase::parsed:
           break;  // unreachable: parsed is never a *next* phase
@@ -620,36 +609,6 @@ bool AnalysisService::run_phases(const std::shared_ptr<Entry>& entry,
   }
 }
 
-void AnalysisService::refresh_gate_allowance() {
-  upper_level_bytes_.store(
-      design_bytes_.load(std::memory_order_relaxed) + decomp_cache_.bytes(),
-      std::memory_order_relaxed);
-  gate_cache_.shed_to_fit();
-}
-
-void AnalysisService::evict_overflow_locked() {
-  // Shed priority design > decomposition > gate slice: publish the new
-  // design bytes, shed decompositions down to whatever the designs leave
-  // free, then gate slices down to what designs + decompositions leave,
-  // BEFORE considering a design eviction. Only when the designs alone
-  // overflow the budget does the design LRU give ground — so neither a
-  // gate-slice burst nor a decomposition insert can ever push a resident
-  // whole-design entry out, and a design burst squeezes gate slices to
-  // zero before it touches a cached decomposition.
-  design_bytes_.store(bytes_, std::memory_order_relaxed);
-  decomp_cache_.shed_to_fit();
-  refresh_gate_allowance();
-  while (bytes_ > options_.cache_budget_bytes && !lru_.empty()) {
-    const std::shared_ptr<Entry>& victim = lru_.back();
-    bytes_ -= victim->charged_bytes;
-    cache_.erase(victim->canonical);
-    lru_.pop_back();
-    evictions_->inc();
-  }
-  design_bytes_.store(bytes_, std::memory_order_relaxed);
-  refresh_gate_allowance();
-}
-
 void AnalysisService::finish_run(const std::shared_ptr<Entry>& entry,
                                  bool from_scratch, bool ok,
                                  core::Phase achieved,
@@ -681,44 +640,19 @@ void AnalysisService::finish_run(const std::shared_ptr<Entry>& entry,
       inflight != inflight_.end() && inflight->second == entry;
   if (mine_inflight) inflight_.erase(inflight);
 
-  const auto resident = cache_.find(entry->canonical);
-  if (resident != cache_.end() && *resident->second == entry) {
-    // Resident upgrade (or failed upgrade attempt): re-charge the grown
-    // entry, dropping it when it alone no longer fits the budget.
-    if (footprint_now > options_.cache_budget_bytes) {
-      bytes_ -= entry->charged_bytes;
-      lru_.erase(resident->second);
-      cache_.erase(resident);
-      evictions_->inc();
-      design_bytes_.store(bytes_, std::memory_order_relaxed);
-      refresh_gate_allowance();
-    } else if (footprint_now != entry->charged_bytes) {
-      bytes_ = bytes_ - entry->charged_bytes + footprint_now;
-      entry->charged_bytes = footprint_now;
-      evict_overflow_locked();
-    }
-    return;
-  }
-  // First retention of a fresh entry. Even a failed run keeps the phases
+  // A resident entry (upgrade or failed upgrade attempt) is re-charged at
+  // its new footprint — and dropped when it alone no longer fits. A fresh
+  // entry is retained on first insert: even a failed run keeps the phases
   // that did succeed (a derive that threw leaves a decomposed + verified
-  // entry the next request upgrades from); an entry with nothing but the
-  // parse is not worth a slot. An entry larger than the whole budget is
-  // served but never retained.
-  if (!mine_inflight) return;  // superseded or budget-0 duplicate
-  // Injected cache_insert fault: serve the response but skip retention —
-  // the entry vanishes as if evicted the instant it finished, exercising
-  // the eviction-during-single-flight path without touching correctness
-  // (retention is always optional).
-  if (base::fault_fires(base::FaultPoint::cache_insert)) return;
-  if (achieved == core::Phase::parsed) return;
-  if (options_.cache_budget_bytes == 0) return;
-  if (footprint_now > options_.cache_budget_bytes) return;
-  if (cache_.find(entry->canonical) != cache_.end()) return;
-  bytes_ += footprint_now;
-  entry->charged_bytes = footprint_now;
-  lru_.push_front(entry);
-  cache_[entry->canonical] = lru_.begin();
-  evict_overflow_locked();
+  // entry the next request upgrades from), but an entry with nothing but
+  // the parse is not worth a slot. A superseded entry, or a duplicate
+  // that lost the race to a resident one, is served but not retained;
+  // so is one larger than the whole budget.
+  if (designs_.peek(entry->canonical).entry != entry) {
+    if (!mine_inflight) return;
+    if (achieved == core::Phase::parsed) return;
+  }
+  designs_.insert(entry->canonical, Resident{entry, footprint_now});
 }
 
 void AnalysisService::maybe_spill(const std::shared_ptr<Entry>& entry) {
@@ -869,6 +803,14 @@ AnalysisResponse AnalysisService::analyze(const AnalysisRequest& request) {
               /*count_failure=*/true);
     return response;
   }
+  const int signals = parsed.stg->signals.count();
+  if (signals > kMaxSignals) {
+    fail_with("design has " + std::to_string(signals) +
+                  " signals; state codes hold at most " +
+                  std::to_string(kMaxSignals),
+              "too_large", /*count_failure=*/true);
+    return response;
+  }
 
   const core::Phase needed = request.mode == RequestMode::verify
                                  ? core::Phase::verified
@@ -879,11 +821,8 @@ AnalysisResponse AnalysisService::analyze(const AnalysisRequest& request) {
   std::shared_ptr<Entry> entry;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    const auto cached = cache_.find(parsed.canonical);
-    if (cached != cache_.end()) {
-      lru_.splice(lru_.begin(), lru_, cached->second);  // touch
-      entry = *cached->second;
-    } else {
+    entry = designs_.lookup(parsed.canonical).entry;
+    if (entry == nullptr) {
       const auto in_flight = inflight_.find(parsed.canonical);
       if (in_flight != inflight_.end()) {
         entry = in_flight->second;
@@ -1201,18 +1140,13 @@ int AnalysisService::warm_from_disk() {
       std::lock_guard<std::mutex> lock(mutex_);
       // A duplicate key (warm_from_disk called twice, or a request beat
       // the boot load) keeps the resident entry and the file.
-      if (cache_.find(entry->canonical) != cache_.end() ||
+      if (designs_.peek(entry->canonical).entry != nullptr ||
           inflight_.find(entry->canonical) != inflight_.end())
         continue;
-      if (footprint_now > options_.cache_budget_bytes) {
+      if (!designs_.insert(entry->canonical, Resident{entry, footprint_now})) {
         disk_store_->note_skip();
         continue;  // served cold this generation; keep the file
       }
-      bytes_ += footprint_now;
-      entry->charged_bytes = footprint_now;
-      lru_.push_front(entry);
-      cache_[entry->canonical] = lru_.begin();
-      evict_overflow_locked();
     }
     disk_store_->note_load();
     ++loaded;
@@ -1221,21 +1155,20 @@ int AnalysisService::warm_from_disk() {
 }
 
 CacheStats AnalysisService::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   CacheStats stats;
   stats.hits = hits_->value();
   stats.misses = misses_->value();
   stats.upgrades = upgrades_->value();
   stats.coalesced = coalesced_->value();
-  stats.evictions = evictions_->value();
+  stats.evictions = designs_.evictions();
   stats.failures = failures_->value();
   stats.deadline_exceeded = deadline_exceeded_->value();
   stats.cancelled_subtasks = cancelled_subtasks_;
   stats.decompose_runs = decompose_runs_->value();
   stats.verify_runs = verify_runs_->value();
   stats.derive_runs = derive_runs_->value();
-  stats.entries = static_cast<int>(lru_.size());
-  stats.bytes = bytes_;
+  stats.entries = designs_.entries();
+  stats.bytes = designs_.bytes();
   stats.budget_bytes = options_.cache_budget_bytes;
   stats.sg_cache_entries = sg_cache_.entries();
   stats.sg_cache_hits = sg_cache_.hits();

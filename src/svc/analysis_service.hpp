@@ -23,12 +23,13 @@
 //     global-SG rebuild) and a gate-level slice cache keyed per
 //     (component × gate) job (svc::GateCache — an edited design
 //     re-expands only its delta).
-//   - LRU eviction by byte budget: entries are charged a calibrated
-//     estimate of their resident footprint (real container capacities, SSO
-//     and node overheads accounted; svc/footprint.hpp) and the
-//     least-recently-used ones are dropped when the sum exceeds
-//     ServiceOptions::cache_budget_bytes, which all three cache levels
-//     share with shed priority design > decomposition > gate slice.
+//   - one byte budget over all three levels: each level is an
+//     svc::ByteStore charging a calibrated estimate of its resident
+//     footprint (real container capacities, SSO and node overheads;
+//     svc/footprint.hpp), and ServiceOptions::cache_budget_bytes is shared
+//     with shed priority design > decomposition > gate slice — a level
+//     lives in what the levels above leave free, and the least recently
+//     used values of the lowest level go first.
 //   - single-flight deduplication per (entry, phase): N concurrent
 //     requests for the same design run each missing phase ONCE; a
 //     concurrent verify and derive share the parse + decompose work, with
@@ -41,7 +42,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <list>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -57,6 +58,7 @@
 #include "core/report.hpp"
 #include "sg/sg_cache.hpp"
 #include "stg/stg.hpp"
+#include "svc/byte_store.hpp"
 #include "svc/decomp_cache.hpp"
 #include "svc/disk_store.hpp"
 #include "svc/gate_cache.hpp"
@@ -126,6 +128,7 @@ struct AnalysisResponse {
   std::string error;
   /// Machine-readable failure class, set exactly when ok == false:
   /// "invalid_request" (the design text failed to parse),
+  /// "too_large" (the design has more signals than a state code holds),
   /// "deadline_exceeded" (the request's deadline budget fired),
   /// "cancelled" (explicit cancel flag), "analysis_error" (the flow threw
   /// for any other reason, injected faults included).
@@ -170,8 +173,9 @@ struct AnalysisResponse {
   std::vector<TraceSpan> spans;
 };
 
-/// Point-in-time counters of the design cache (monotonic except entries
-/// and bytes, which track the current resident set).
+/// Point-in-time counters of the three cache levels and the disk store
+/// (monotonic except entries and bytes, which track the current resident
+/// set).
 struct CacheStats {
   long long hits = 0;        // every needed phase was already resident
   long long misses = 0;      // ran the flow from the parsed design
@@ -230,10 +234,11 @@ struct CacheStats {
 };
 
 struct ServiceOptions {
-  /// Byte budget of the design cache. An entry larger than the whole
-  /// budget is still served but not retained. 0 = cache disabled (every
-  /// request is a fresh run; single-flight still applies while the run is
-  /// in flight).
+  /// Byte budget shared by the design, decomposition and gate-slice cache
+  /// levels (shed priority in that order). A value larger than what its
+  /// level may hold is still served but not retained. 0 = every level
+  /// disabled (every request is a fresh run; single-flight still applies
+  /// while the run is in flight).
   std::size_t cache_budget_bytes = 256u << 20;
   /// Default per-request (component × gate) parallelism (FlowOptions
   /// semantics: 1 = serial, 0 = one per hardware thread).
@@ -242,26 +247,6 @@ struct ServiceOptions {
   /// shared pool.
   base::ThreadPool* pool = nullptr;
   core::ExpandOptions expand;  // part of the cache key
-  /// Bound on the cross-request state-graph cache: when a fresh run leaves
-  /// more than this many memoized graphs, the SG cache is flushed (a
-  /// coarse but safe valve — correctness is unaffected, the next flows
-  /// just rebuild their graphs). Without it a long-running server on
-  /// diverse traffic would grow without bound even under the design-cache
-  /// byte budget. 0 = unbounded.
-  int sg_cache_max_entries = 1 << 16;
-  /// Enables the gate-level slice cache (svc::GateCache): per-(component ×
-  /// gate) expansion products content-addressed independently of the
-  /// whole-design key, so an edited design re-expands only its delta. Its
-  /// bytes share cache_budget_bytes (designs take priority); disabled
-  /// automatically when cache_budget_bytes == 0.
-  bool gate_cache = true;
-  /// Enables the decomposition cache (svc::DecompCache): whole-design
-  /// FlowDecompositions keyed on the canonical STG alone, so a
-  /// netlist-only edit reuses the entire decomposition — global-SG
-  /// rebuild included — and re-enumerates only the job list. Its bytes
-  /// share cache_budget_bytes with shed priority design > decomposition >
-  /// gate slice; disabled automatically when cache_budget_bytes == 0.
-  bool decomp_cache = true;
   /// Directory of the persistent warm store (svc::DiskStore). Empty =
   /// persistence off. When set, terminal design entries (every request
   /// mode answered by resident phases) are spilled to
@@ -329,7 +314,25 @@ class AnalysisService {
  private:
   struct Entry;
   struct Parsed;
-  using LruList = std::list<std::shared_ptr<Entry>>;
+  /// A resident design entry and the footprint it is charged (measured
+  /// when its last run ended; entries grow in place on upgrades).
+  struct Resident {
+    std::shared_ptr<Entry> entry;
+    std::size_t bytes = 0;
+  };
+  struct DesignPolicy {
+    static std::uint64_t hash(const std::string& canonical) {
+      return std::hash<std::string>{}(canonical);
+    }
+    static std::size_t cost(const std::string&, const Resident& resident) {
+      return resident.bytes;
+    }
+    /// Re-inserting the resident entry re-charges it; another entry
+    /// under the same key yields to the resident one.
+    static bool replace(const Resident& resident, const Resident& incoming) {
+      return resident.entry == incoming.entry;
+    }
+  };
 
   /// What one single-flight run (or bypass run) actually executed, for
   /// counters, histograms and trace spans. Captured by the runner while
@@ -372,8 +375,8 @@ class AnalysisService {
                   const core::CancelToken& cancel, std::string& error,
                   std::string& error_code, RunStats& run,
                   core::Phase& achieved, std::size_t& footprint);
-  /// Runner epilogue under mutex_: retention (inflight -> LRU or resident
-  /// re-charge), byte accounting and counter updates.
+  /// Runner epilogue under mutex_: retention (inflight -> design level or
+  /// resident re-charge) and counter updates.
   void finish_run(const std::shared_ptr<Entry>& entry, bool from_scratch,
                   bool ok, core::Phase achieved, std::size_t footprint,
                   const RunStats& run);
@@ -393,44 +396,30 @@ class AnalysisService {
   /// the artifact durable. Best-effort: failures only bump the write
   /// error counter. No-op without a store.
   void maybe_spill(const std::shared_ptr<Entry>& entry);
-  void evict_overflow_locked();
-  /// Publishes design + decomposition bytes to upper_level_bytes_ and
-  /// sheds gate slices down to the allowance that leaves. Called wherever
-  /// either upper level's resident bytes change; lock-free (reads the
-  /// design mirror, not mutex_), so the runner hot path may call it after
-  /// a decomposition insert.
-  void refresh_gate_allowance();
   void respond_from_locked(const Entry& entry, RequestMode mode,
                            const char* cache_state,
                            AnalysisResponse& out) const;
 
   ServiceOptions options_;
   sg::SgCache sg_cache_;  // cross-request SG memoization
-  /// Lock-free mirror of bytes_ (updated wherever bytes_ changes) so the
-  /// lower cache levels can size their dynamic allowances without taking
-  /// mutex_ on the job hot path. design_bytes_ bounds the decomposition
-  /// cache (allowance = budget - designs); upper_level_bytes_ adds the
-  /// decomposition cache's own bytes and bounds the gate cache
-  /// (allowance = budget - designs - decompositions) — the shed-priority
-  /// contract design > decomposition > gate slice in atomic form.
-  std::atomic<std::size_t> design_bytes_{0};
-  DecompCache decomp_cache_;  // STG-keyed decomposition cache
-  std::atomic<std::size_t> upper_level_bytes_{0};
-  GateCache gate_cache_;  // per-(component × gate) slice cache
+  /// The three cache levels, in shed priority order. The design level is
+  /// one exact-LRU shard keyed on the full canonical content; every
+  /// operation on it runs under mutex_, so a lookup and the inflight_
+  /// check stay atomic with respect to retention.
+  ByteStore<std::string, Resident, DesignPolicy> designs_;
+  DecompCache decomp_cache_;  // STG-keyed decomposition level
+  GateCache gate_cache_;  // per-(component × gate) slice level
   /// Persistent warm store (--cache-dir); null = persistence off. Never
   /// touched under mutex_ or an entry mutex — spills encode under the
   /// entry lock but write outside every lock, so disk latency cannot
   /// stall the serving path.
   std::unique_ptr<DiskStore> disk_store_;
 
-  mutable std::mutex mutex_;
-  LruList lru_;  // most-recently-used first
-  std::unordered_map<std::string, LruList::iterator> cache_;
+  std::mutex mutex_;
   /// Entries being built that are not (yet) resident: the rendezvous for
   /// single-flight on brand-new designs. Removed when their runner
-  /// finishes (moved into the LRU on success when the budget allows).
+  /// finishes (moved into the design level on success when it fits).
   std::unordered_map<std::string, std::shared_ptr<Entry>> inflight_;
-  std::size_t bytes_ = 0;
 
   /// Exception to the registry-owned rule: core::ExpandOptions carries a
   /// raw pointer to this atomic into the expansion hot loops, so the one
@@ -447,7 +436,6 @@ class AnalysisService {
   base::MetricCounter* misses_ = nullptr;
   base::MetricCounter* upgrades_ = nullptr;
   base::MetricCounter* coalesced_ = nullptr;
-  base::MetricCounter* evictions_ = nullptr;
   base::MetricCounter* failures_ = nullptr;
   base::MetricCounter* deadline_exceeded_ = nullptr;
   base::MetricCounter* decompose_runs_ = nullptr;

@@ -1,121 +1,41 @@
 #include "svc/decomp_cache.hpp"
 
-#include <utility>
-
-#include "base/fault.hpp"
 #include "svc/footprint.hpp"
 
 namespace sitime::svc {
 
-namespace {
-
 /// Calibrated cost of one resident value: the decomposition, the STG it
 /// pins, the retained synthesized circuit, the canonical key (charged
-/// twice: node copy + index copy) and the container node overheads. The
+/// twice, conservatively) and the container node overheads. The
 /// pinned STG may also be resident as a design entry — double-charging
-/// shared bytes keeps the budget conservative, exactly as the gate cache
+/// shared bytes keeps the budget conservative, exactly as the gate level
 /// over-counts shared key prefixes.
-std::size_t value_bytes(const std::string& key,
-                        const DecompCache::Value& value) {
-  std::size_t total = sizeof(DecompCache::Value) + kControlBlockBytes +
-                      2 * heap_bytes(key) + kHashNodeBytes +
+std::size_t DecompPolicy::cost(const std::string& stg_canonical,
+                               const Value& value) {
+  std::size_t total = sizeof(DecompValue) + kControlBlockBytes +
+                      2 * heap_bytes(stg_canonical) + kHashNodeBytes +
                       4 * sizeof(void*) +  // list links + map slot
-                      footprint(value.decomposition) +
-                      heap_bytes(value.built_eqn);
-  if (value.decomposition.source != nullptr)
-    total += footprint(*value.decomposition.source);
-  if (value.synth_circuit != nullptr)
-    total += footprint(*value.synth_circuit) + kControlBlockBytes;
-  if (value.synth_eqn != nullptr)
-    total += sizeof(std::string) + heap_bytes(*value.synth_eqn) +
+                      footprint(value->decomposition) +
+                      heap_bytes(value->built_eqn);
+  if (value->decomposition.source != nullptr)
+    total += footprint(*value->decomposition.source);
+  if (value->synth_circuit != nullptr)
+    total += footprint(*value->synth_circuit) + kControlBlockBytes;
+  if (value->synth_eqn != nullptr)
+    total += sizeof(std::string) + heap_bytes(*value->synth_eqn) +
              kControlBlockBytes;
   return total;
 }
 
-}  // namespace
-
-DecompCache::DecompCache(std::size_t budget_bytes,
-                         const std::atomic<std::size_t>* reserved_bytes)
-    : budget_bytes_(budget_bytes), reserved_bytes_(reserved_bytes) {}
-
-std::size_t DecompCache::allowance() const {
-  const std::size_t reserved =
-      reserved_bytes_ != nullptr
-          ? reserved_bytes_->load(std::memory_order_relaxed)
-          : 0;
-  return budget_bytes_ > reserved ? budget_bytes_ - reserved : 0;
-}
-
-std::shared_ptr<const DecompCache::Value> DecompCache::lookup(
-    const std::string& stg_canonical, bool have_circuit) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto found = index_.find(stg_canonical);
-    if (found != index_.end() &&
-        (have_circuit || found->second->value->synth_circuit != nullptr)) {
-      lru_.splice(lru_.begin(), lru_, found->second);
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return found->second->value;
-    }
+bool DecompPolicy::replace(const Value& resident, Value& incoming) {
+  if (incoming->synth_circuit == nullptr &&
+      resident->synth_circuit != nullptr) {
+    auto merged = std::make_shared<DecompValue>(*incoming);
+    merged->synth_circuit = resident->synth_circuit;
+    merged->synth_eqn = resident->synth_eqn;
+    incoming = std::move(merged);
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return nullptr;
-}
-
-void DecompCache::insert(const std::string& stg_canonical, Value value) {
-  if (budget_bytes_ == 0) return;
-  // Injected decomp_cache_insert fault: the flow that decomposed already
-  // holds its artifacts, so skipping retention only costs a later
-  // re-decompose — the three-level analogue of gate_cache_insert.
-  if (base::fault_fires(base::FaultPoint::decomp_cache_insert)) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto found = index_.find(stg_canonical);
-  if (found != index_.end()) {
-    // Upgrade in place: merge the synthesis products so whichever insert
-    // carried them wins, then recharge the node at its new size.
-    const std::shared_ptr<const Value>& resident = found->second->value;
-    if (value.synth_circuit == nullptr &&
-        resident->synth_circuit != nullptr) {
-      value.synth_circuit = resident->synth_circuit;
-      value.synth_eqn = resident->synth_eqn;
-    }
-    const std::size_t cost = value_bytes(stg_canonical, value);
-    bytes_.fetch_sub(found->second->bytes, std::memory_order_relaxed);
-    bytes_.fetch_add(cost, std::memory_order_relaxed);
-    found->second->value = std::make_shared<const Value>(std::move(value));
-    found->second->bytes = cost;
-    lru_.splice(lru_.begin(), lru_, found->second);
-    shed_to_locked(allowance());
-    return;
-  }
-  const std::size_t cost = value_bytes(stg_canonical, value);
-  if (cost > allowance()) return;  // would evict everything and still not fit
-  lru_.push_front(Node{stg_canonical,
-                       std::make_shared<const Value>(std::move(value)),
-                       cost});
-  index_[stg_canonical] = lru_.begin();
-  bytes_.fetch_add(cost, std::memory_order_relaxed);
-  shed_to_locked(allowance());
-}
-
-void DecompCache::shed_to_fit() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  shed_to_locked(allowance());
-}
-
-void DecompCache::shed_to_locked(std::size_t target) {
-  while (bytes_.load(std::memory_order_relaxed) > target && !lru_.empty()) {
-    const Node& victim = lru_.back();
-    bytes_.fetch_sub(victim.bytes, std::memory_order_relaxed);
-    index_.erase(victim.key);
-    lru_.pop_back();
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-int DecompCache::entries() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return static_cast<int>(lru_.size());
+  return true;
 }
 
 }  // namespace sitime::svc

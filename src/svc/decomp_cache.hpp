@@ -1,12 +1,12 @@
 // The middle level of the three-level service cache: whole-design
 // FlowDecompositions keyed on the canonical STG text ALONE.
 //
-// The design cache (level 1) keys on STG + netlist + expand options, so a
-// netlist-only edit misses it and — without this cache — pays the full
+// The design level keys on STG + netlist + expand options, so a
+// netlist-only edit misses it and — without this level — pays the full
 // decompose phase again: the global-SG BFS, the consistency check, the MG
 // component enumeration and every component projection. All of that is a
 // pure function of the STG; only the (component × gate) job list and the
-// derive-side key material depend on the circuit. This cache stores the
+// derive-side key material depend on the circuit. This level stores the
 // STG-derived part once, and a hit re-targets it at the request's circuit
 // by re-enumerating the job list (core::enumerate_flow_jobs) — skipping
 // the global-SG rebuild entirely.
@@ -21,115 +21,85 @@
 // embed are pure functions of the STG, so warm runs never re-serialize
 // them, whatever circuit they bring.
 //
-// Budget: values are charged with the calibrated model in svc/footprint.hpp
-// (the pinned source STG and retained synthesized circuit included) against
-// the ONE service byte budget, with shed priority design > decomposition >
-// gate slice: this cache's allowance is whatever the resident design
-// entries leave free, and the gate cache fits inside what design +
-// decomposition entries leave. Like the gate cache there is no
+// Storage is one exact-LRU svc::ByteStore shard charged with the
+// calibrated model in svc/footprint.hpp (the pinned source STG and the
+// retained synthesized circuit included), placed below the design level
+// and above the gate-slice level in the shared budget. There is no
 // single-flight — two flows racing on one STG both decompose and either
 // insert may win, the content address guaranteeing they built the same
 // value.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <list>
+#include <cstdint>
+#include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
+#include <utility>
 
 #include "circuit/circuit.hpp"
 #include "core/flow.hpp"
+#include "svc/byte_store.hpp"
 
 namespace sitime::svc {
 
-class DecompCache {
+/// One cached decomposition. `decomposition` carries its pins
+/// (FlowDecomposition::source for the STG the component projections point
+/// into, key_cache for the memoized key bases); consumers whose circuit
+/// renders to `built_eqn` may use it verbatim, others re-enumerate the job
+/// list (the shared key cache stays valid).
+struct DecompValue {
+  core::FlowDecomposition decomposition;
+  /// Canonical netlist of the circuit `decomposition.jobs` was computed
+  /// against.
+  std::string built_eqn;
+  /// The synthesized circuit (+ its canonical netlist) when the value was
+  /// built from a design with no explicit netlist; null otherwise. Points
+  /// into the SignalTable of decomposition.source, which the shared value
+  /// pins.
+  std::shared_ptr<const circuit::Circuit> synth_circuit;
+  std::shared_ptr<const std::string> synth_eqn;
+};
+
+struct DecompPolicy {
+  using Value = std::shared_ptr<const DecompValue>;
+  static std::uint64_t hash(const std::string& stg_canonical) {
+    return std::hash<std::string>{}(stg_canonical);
+  }
+  static std::size_t cost(const std::string& stg_canonical,
+                          const Value& value);
+  /// A duplicate STG is upgraded in place (both decompositions are equal
+  /// by content address), keeping whichever synthesis products exist, so
+  /// an explicit-netlist re-insert never drops a retained synthesized
+  /// circuit.
+  static bool replace(const Value& resident, Value& incoming);
+};
+
+class DecompCache
+    : public ByteStore<std::string, DecompPolicy::Value, DecompPolicy> {
  public:
-  /// One cached decomposition. `decomposition` carries its pins
-  /// (FlowDecomposition::source for the STG the component projections
-  /// point into, key_cache for the memoized key bases); consumers whose
-  /// circuit renders to `built_eqn` may use it verbatim, others
-  /// re-enumerate the job list (the shared key cache stays valid).
-  struct Value {
-    core::FlowDecomposition decomposition;
-    /// Canonical netlist of the circuit `decomposition.jobs` was
-    /// computed against.
-    std::string built_eqn;
-    /// The synthesized circuit (+ its canonical netlist) when the value
-    /// was built from a design with no explicit netlist; null otherwise.
-    /// Points into the SignalTable of decomposition.source, which the
-    /// shared Value pins.
-    std::shared_ptr<const circuit::Circuit> synth_circuit;
-    std::shared_ptr<const std::string> synth_eqn;
-  };
+  using Value = DecompValue;
 
-  /// `budget_bytes` is the shared service budget; `reserved_bytes` (may be
-  /// null) mirrors the bytes the design-level cache currently holds. The
-  /// decomposition cache keeps itself within budget_bytes -
-  /// *reserved_bytes at every insert and whenever shed_to_fit() is called.
-  /// budget_bytes == 0 disables retention (lookups all miss).
-  DecompCache(std::size_t budget_bytes,
-              const std::atomic<std::size_t>* reserved_bytes);
+  /// Polls the decomp_cache_insert fault point on insert.
+  explicit DecompCache(std::size_t budget_bytes)
+      : ByteStore(budget_bytes, /*shards=*/1,
+                  base::FaultPoint::decomp_cache_insert) {}
 
-  /// Thread-safe; counts a hit or miss and refreshes LRU order on hit.
   /// `have_circuit` says whether the caller brings its own netlist: a
   /// caller without one can only be served by a value that retained the
   /// synthesized circuit, so a resident value without synthesis products
-  /// counts (and returns) as a miss for such a caller — the counters
-  /// always agree with what was actually served.
+  /// counts (and returns) as a miss for such a caller.
   std::shared_ptr<const Value> lookup(const std::string& stg_canonical,
-                                      bool have_circuit);
-
-  /// Thread-safe. A duplicate key is upgraded in place: the new value
-  /// replaces the resident one (both decompositions are equal by content
-  /// address), and synthesis products are merged so an explicit-netlist
-  /// re-insert never drops a retained synthesized circuit. Polls the
-  /// decomp_cache_insert fault point: a fired fault skips retention — the
-  /// inserting flow already holds its decomposition, so correctness is
-  /// untouched.
-  void insert(const std::string& stg_canonical, Value value);
-
-  /// Evicts LRU values until the cache fits the current dynamic allowance
-  /// (budget - reserved design bytes). The design cache calls this before
-  /// evicting any of its own entries — and after shedding gate slices —
-  /// so decompositions absorb budget pressure after gate slices but
-  /// before any resident whole-design entry.
-  void shed_to_fit();
-
-  long long hits() const { return hits_.load(std::memory_order_relaxed); }
-  long long misses() const {
-    return misses_.load(std::memory_order_relaxed);
+                                      bool have_circuit) {
+    return ByteStore::lookup(stg_canonical, [have_circuit](const auto& v) {
+      return have_circuit || v->synth_circuit != nullptr;
+    });
   }
-  long long evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
+
+  void insert(const std::string& stg_canonical, Value value) {
+    ByteStore::insert(stg_canonical,
+                      std::make_shared<const Value>(std::move(value)));
   }
-  std::size_t bytes() const {
-    return bytes_.load(std::memory_order_relaxed);
-  }
-  int entries() const;
-
- private:
-  struct Node {
-    std::string key;  // owned copy of the canonical STG text
-    std::shared_ptr<const Value> value;
-    std::size_t bytes = 0;
-  };
-
-  std::size_t allowance() const;
-  /// Pops LRU tails until bytes_ <= target. Caller holds mutex_.
-  void shed_to_locked(std::size_t target);
-
-  const std::size_t budget_bytes_;
-  const std::atomic<std::size_t>* reserved_bytes_;
-  mutable std::mutex mutex_;
-  std::list<Node> lru_;  // most-recently-used first
-  std::unordered_map<std::string, std::list<Node>::iterator> index_;
-  std::atomic<std::size_t> bytes_{0};
-  std::atomic<long long> hits_{0};
-  std::atomic<long long> misses_{0};
-  std::atomic<long long> evictions_{0};
 };
 
 }  // namespace sitime::svc

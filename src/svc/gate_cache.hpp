@@ -1,110 +1,67 @@
-// The second, finer level of the design cache: per-(MG component × gate)
-// job slices, content-addressed by core::gate_job_key().
+// The finest level of the three-level service cache: per-(MG component ×
+// gate) job slices, content-addressed by core::gate_job_key().
 //
-// The whole-design cache (AnalysisService's PhaseArtifacts entries) only
-// helps when a request's canonical content matches byte for byte; an editor
-// loop that touches one gate misses it every time. The gate cache catches
-// exactly that traffic: the edited design decomposes, every unchanged
-// gate's job key still hits here, and only the delta re-expands. The store
-// is deliberately dumber than the design cache — immutable values behind
-// shared_ptr, no single-flight (two flows racing on one key both compute;
-// the content address guarantees they computed the same slice, so either
-// insert may win) — because a slice is cheap to recompute and the design
-// cache above already deduplicates whole requests.
+// The design level only helps when a request's canonical content matches
+// byte for byte, and the decomposition level only skips the decompose
+// phase; an editor loop that touches one gate misses the first every time.
+// This level catches exactly that traffic: the edited design decomposes
+// (or reuses its decomposition), every unchanged gate's job key still hits
+// here, and only the delta re-expands. Values are immutable slices behind
+// shared_ptr with no single-flight (two flows racing on one key both
+// compute; the content address guarantees they computed the same slice,
+// so the resident copy wins) — a slice is cheap to recompute and the
+// design level above already deduplicates whole requests.
 //
-// Budget: gate entries are charged with the same calibrated footprint
-// model as design entries and share the ONE service byte budget. The split
-// is dynamic and design-entries-first: the gate cache's allowance is
-// whatever the resident design entries leave free (tracked lock-free via a
-// mirror of the design-side byte counter), a gate insert only ever evicts
-// gate entries, and design-side budget pressure sheds gate entries before
-// touching any resident design (AnalysisService::evict_overflow_locked).
-// So gate slices can never push a whole design out of residency.
-//
-// Concurrency: kShardCount independently locked shards selected by high
-// key-hash bits; each shard keeps its own LRU order, and shedding walks
-// the shards round-robin popping LRU tails (approximate global LRU —
-// exactness is not worth a global lock on the job hot path).
+// Storage is a 16-shard svc::ByteStore (approximate LRU, round-robin
+// shedding — exactness is not worth a global lock on the job hot path)
+// charged with the calibrated model in svc/footprint.hpp. In the service
+// it sits at the bottom of the shared budget: its allowance is what the
+// design and decomposition levels leave free, and a gate insert only ever
+// evicts gate slices.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
-#include <vector>
+#include <utility>
 
 #include "core/local_stg.hpp"
+#include "svc/byte_store.hpp"
 
 namespace sitime::svc {
 
-class GateCache : public core::GateSliceStore {
+struct GatePolicy {
+  using Value = std::shared_ptr<const core::GateSlice>;
+  static std::uint64_t hash(const core::GateJobKey& key) { return key.hash; }
+  static std::size_t cost(const core::GateJobKey& key, const Value& slice);
+  /// Duplicate keys keep the resident slice (both are equal by
+  /// construction).
+  static bool replace(const Value&, Value&) { return false; }
+};
+
+class GateCache
+    : public core::GateSliceStore,
+      public ByteStore<core::GateJobKey, GatePolicy::Value, GatePolicy> {
  public:
-  /// `budget_bytes` is the shared service budget; `reserved_bytes` (may be
-  /// null) mirrors the bytes the design-level cache currently holds. The
-  /// gate cache keeps itself within budget_bytes - *reserved_bytes at
-  /// every insert and whenever shed_to_fit() is called.
+  /// `budget_bytes` is the byte budget; `reserved_bytes` (may be null)
+  /// counts as held above this level, so the cache keeps itself within
+  /// budget_bytes - *reserved_bytes at every insert and shed_to_fit().
+  /// Polls the gate_cache_insert fault point on insert.
   GateCache(std::size_t budget_bytes,
-            const std::atomic<std::size_t>* reserved_bytes);
+            const std::atomic<std::size_t>* reserved_bytes)
+      : ByteStore(budget_bytes, /*shards=*/16,
+                  base::FaultPoint::gate_cache_insert, reserved_bytes) {}
 
-  /// Thread-safe; counts a hit or miss and refreshes LRU order on hit.
   std::shared_ptr<const core::GateSlice> lookup(
-      const core::GateJobKey& key) override;
+      const core::GateJobKey& key) override {
+    return ByteStore::lookup(key);
+  }
 
-  /// Thread-safe; duplicate keys keep the resident slice (both copies are
-  /// equal by construction). Polls the gate_cache_insert fault point: a
-  /// fired fault skips retention — the inserting flow already holds its
-  /// slice, so correctness is untouched. Inserting may shed other gate
-  /// entries; it never touches the design-level cache.
   void insert(const core::GateJobKey& key,
-              std::shared_ptr<const core::GateSlice> slice) override;
-
-  /// Evicts LRU gate entries until the cache fits the current dynamic
-  /// allowance (budget - reserved). The design cache calls this before
-  /// evicting any of its own entries, so gate slices absorb budget
-  /// pressure first.
-  void shed_to_fit();
-
-  long long hits() const { return hits_.load(std::memory_order_relaxed); }
-  long long misses() const {
-    return misses_.load(std::memory_order_relaxed);
+              std::shared_ptr<const core::GateSlice> slice) override {
+    if (slice != nullptr) ByteStore::insert(key, std::move(slice));
   }
-  long long evictions() const {
-    return evictions_.load(std::memory_order_relaxed);
-  }
-  std::size_t bytes() const {
-    return bytes_.load(std::memory_order_relaxed);
-  }
-  int entries() const;
-
- private:
-  struct Node {
-    core::GateJobKey key;
-    std::shared_ptr<const core::GateSlice> slice;
-    std::size_t bytes = 0;
-  };
-  struct Shard {
-    mutable std::mutex mutex;
-    std::list<Node> lru;  // most-recently-used first
-    std::unordered_map<std::uint64_t, std::vector<std::list<Node>::iterator>>
-        buckets;
-  };
-  static constexpr int kShardCount = 16;
-
-  std::size_t allowance() const;
-  /// Pops LRU tails round-robin until bytes_ <= target.
-  void shed_to(std::size_t target);
-
-  const std::size_t budget_bytes_;
-  const std::atomic<std::size_t>* reserved_bytes_;
-  Shard shards_[kShardCount];
-  std::atomic<std::size_t> bytes_{0};
-  std::atomic<long long> hits_{0};
-  std::atomic<long long> misses_{0};
-  std::atomic<long long> evictions_{0};
-  std::atomic<unsigned> shed_cursor_{0};
 };
 
 }  // namespace sitime::svc

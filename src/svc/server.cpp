@@ -705,8 +705,6 @@ std::string Server::handle_line(
       out << ",\"report\":" << *response.canonical_json;
     if (want_spans)
       out << ",\"spans\":" << render_spans(response.spans, queue_wait);
-    out << ",\"cache_stats\":";
-    append_cache_stats(out, service_.stats(), requests_shed());
     out << "}";
     return out.str();
   } catch (const std::exception& error) {

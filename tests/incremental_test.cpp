@@ -320,7 +320,7 @@ TEST(IncrementalService, EditedDesignReusesUnchangedGateSlices) {
   ASSERT_NE(delta.canonical_json, nullptr);
   for (int jobs : {1, 8}) {
     svc::ServiceOptions cold_options;
-    cold_options.gate_cache = false;
+    cold_options.cache_budget_bytes = 0;
     svc::AnalysisService fresh(cold_options);
     const auto reference = fresh.analyze(
         derive_request(bench.name, bench.astg, mutated, jobs));
@@ -337,7 +337,7 @@ TEST(IncrementalService, EditedDesignReusesUnchangedGateSlices) {
   ASSERT_TRUE(parallel_delta.ok) << parallel_delta.error;
   ASSERT_NE(parallel_delta.canonical_json, nullptr);
   svc::ServiceOptions cold_options;
-  cold_options.gate_cache = false;
+  cold_options.cache_budget_bytes = 0;
   svc::AnalysisService fresh(cold_options);
   const auto reference =
       fresh.analyze(derive_request(bench.name, bench.astg, mutated2));
@@ -425,11 +425,10 @@ TEST(IncrementalService, NetlistOnlyEditReusesDecomposition) {
   EXPECT_EQ(after.decomp_misses, 1);
   EXPECT_EQ(after.decompose_runs, stats.decompose_runs);
 
-  // Byte-identical to a service that never had the decomposition cache.
+  // Byte-identical to a service with every cache level disabled.
   ASSERT_NE(delta.canonical_json, nullptr);
   svc::ServiceOptions off;
-  off.decomp_cache = false;
-  off.gate_cache = false;
+  off.cache_budget_bytes = 0;
   svc::AnalysisService fresh(off);
   const auto reference =
       fresh.analyze(derive_request(bench.name, bench.astg, mutated));
@@ -448,8 +447,7 @@ TEST(IncrementalService, ReportBytesIdenticalAcrossCacheTemperatures) {
 
   // Reference: every cache disabled, service-default worker count.
   svc::ServiceOptions off;
-  off.decomp_cache = false;
-  off.gate_cache = false;
+  off.cache_budget_bytes = 0;
   svc::AnalysisService cold_service(off);
   const auto reference =
       cold_service.analyze(derive_request(bench.name, bench.astg, mutated));

@@ -194,14 +194,30 @@ std::string id_of(const std::string& line) {
 
 /// The canonical report body embedded in a response line (the part that
 /// must be byte-identical across transports, connections and cache
-/// states).
+/// states): everything after "report": up to the spans or the closing
+/// brace of the line.
 std::string report_of(const std::string& line) {
   const std::size_t start = line.find("\"report\":");
-  const std::size_t end = line.find(",\"cache_stats\"");
-  if (start == std::string::npos || end == std::string::npos ||
-      end <= start)
-    return "";
+  if (start == std::string::npos || line.back() != '}') return "";
+  std::size_t end = line.find(",\"spans\":", start);
+  if (end == std::string::npos) end = line.size() - 1;
   return line.substr(start + 9, end - start - 9);
+}
+
+/// A JSON-escaped .g text of an n-signal ring: s0+ ... s(n-1)+ s0- ...
+/// s(n-1)- back to s0+, one token on the closing arc.
+std::string ring_astg_json(int signals) {
+  std::vector<std::string> order;
+  for (const char edge : {'+', '-'})
+    for (int i = 0; i < signals; ++i)
+      order.push_back("s" + std::to_string(i) + edge);
+  std::string g = ".model ring\\n.inputs s0\\n.outputs";
+  for (int i = 1; i < signals; ++i) g += " s" + std::to_string(i);
+  g += "\\n.graph\\n";
+  for (std::size_t i = 0; i < order.size(); ++i)
+    g += order[i] + " " + order[(i + 1) % order.size()] + "\\n";
+  g += ".marking { <" + order.back() + "," + order.front() + "> }\\n.end\\n";
+  return g;
 }
 
 // ---- tests -----------------------------------------------------------------
@@ -773,6 +789,28 @@ TEST(Server, TruncatedUtf8InDesignTextGetsAStructuredErrorAndSurvives) {
   EXPECT_NE(lines[0].find("UTF-8"), std::string::npos) << lines[0];
   EXPECT_EQ(id_of(lines[1]), "after");
   EXPECT_TRUE(response_ok(lines[1])) << lines[1];
+}
+
+TEST(Server, DesignWiderThanTheStateCodeIsTooLargeAndSurvives) {
+  TcpHarness harness;
+  TestClient client = TestClient::connect_tcp(harness.port);
+  ASSERT_TRUE(client.connected());
+  // 65 signals do not fit the 64-bit state code: a structured too_large,
+  // not a generic analysis error, and the connection keeps serving.
+  client.send("{\"id\":\"ring65\",\"design\":{\"astg\":\"" +
+              ring_astg_json(65) + "\",\"name\":\"ring65\"}}\n" +
+              bench_request_line("after", "adfast"));
+  client.shutdown_write();
+  const std::vector<std::string> lines = client.read_all();
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(id_of(lines[0]), "ring65");
+  EXPECT_FALSE(response_ok(lines[0])) << lines[0];
+  EXPECT_NE(lines[0].find("\"code\":\"too_large\""), std::string::npos)
+      << lines[0];
+  EXPECT_NE(lines[0].find("65 signals"), std::string::npos) << lines[0];
+  EXPECT_EQ(id_of(lines[1]), "after");
+  EXPECT_TRUE(response_ok(lines[1])) << lines[1];
+  EXPECT_EQ(harness.service.stats().entries, 1);  // nothing cached for it
 }
 
 TEST(Server, DroppedResponseWriteAffectsOnlyThatResponse) {

@@ -22,6 +22,10 @@ import subprocess
 import sys
 import tempfile
 
+# The counters come from a trailing control request: with --admit 1 the
+# server handles it after every request before it.
+STATS = {"id": "stats", "stats": True}
+
 
 def run_serve(serve, cache_dir, requests):
     command = [
@@ -73,12 +77,12 @@ def main() -> int:
 
         # Pass 2: boot over the wreckage. Everything must be rejected,
         # deleted, and answered cold — byte-identically, without a crash.
-        second = run_serve(serve, cache_dir, suite)
+        *second, control = run_serve(serve, cache_dir, suite + [STATS])
         not_fresh = [
             (l["id"], l["cache"]) for l in second if l["cache"] != "fresh"
         ]
         assert not not_fresh, f"damaged-store pass not all cold: {not_fresh}"
-        stats = second[-1]["cache_stats"]
+        stats = control["stats"]
         assert stats["disk_loads"] == 0, stats
         assert stats["disk_load_corrupt"] == len(files), stats
         assert stats["disk_writes"] == len(designs), stats  # re-spilled
@@ -88,12 +92,12 @@ def main() -> int:
             )
 
         # Pass 3: the re-spilled store must serve everything warm again.
-        third = run_serve(serve, cache_dir, suite)
+        *third, control = run_serve(serve, cache_dir, suite + [STATS])
         not_hit = [
             (l["id"], l["cache"]) for l in third if l["cache"] != "hit"
         ]
         assert not not_hit, f"re-spilled store not all hits: {not_hit}"
-        stats = third[-1]["cache_stats"]
+        stats = control["stats"]
         assert stats["disk_loads"] == len(designs), stats
         assert stats["disk_load_corrupt"] == 0, stats
         for line in third:

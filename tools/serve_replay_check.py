@@ -37,6 +37,17 @@ import subprocess
 import sys
 import tempfile
 
+# The counters come from a trailing control request: with --admit 1 the
+# server handles it after every request before it.
+STATS = {"id": "stats", "stats": True}
+
+
+def split_stats(lines):
+    """Splits the response lines of a batch that ended in STATS from the
+    counters that request returned."""
+    assert lines[-1].get("id") == "stats" and "stats" in lines[-1], lines[-1]
+    return lines[:-1], lines[-1]["stats"]
+
 
 def run_serve(serve, requests, warm=False, extra=None):
     """One sitime_serve process over `requests`; returns parsed lines."""
@@ -88,12 +99,13 @@ def restart_check(serve, design_dir, cache_dir):
     extra = ["--cache-dir", cache_dir]
 
     # Pass 1: cold server with the persistent store, killed mid-flight.
-    first = run_serve_then_kill(serve, extra, suite)
+    first, stats = split_stats(
+        run_serve_then_kill(serve, extra, suite + [STATS])
+    )
     not_fresh = [
         (l.get("id"), l["cache"]) for l in first if l["cache"] != "fresh"
     ]
     assert not not_fresh, f"cold pass not all fresh: {not_fresh}"
-    stats = first[-1]["cache_stats"]
     assert stats["disk_writes"] == len(designs), stats
     assert stats["disk_write_errors"] == 0, stats
     spilled = glob.glob(cache_dir + "/*.sit")
@@ -102,12 +114,11 @@ def restart_check(serve, design_dir, cache_dir):
 
     # Pass 2: a brand-new process over the same directory. Everything must
     # come back from disk: all hits, zero phase re-runs of ANY kind.
-    second = run_serve(serve, suite, extra=extra)
+    second, stats = split_stats(run_serve(serve, suite + [STATS], extra=extra))
     not_hit = [
         (l.get("id"), l["cache"]) for l in second if l["cache"] != "hit"
     ]
     assert not not_hit, f"restarted pass not all disk hits: {not_hit}"
-    stats = second[-1]["cache_stats"]
     assert stats["disk_loads"] == len(designs), stats
     assert stats["disk_load_skips"] == 0, stats
     assert stats["disk_load_corrupt"] == 0, stats
@@ -177,16 +188,15 @@ def mutate_check(serve, design_dir):
     assert edits, f"no dumped netlists (*.eqn) to mutate in {design_dir}"
 
     # Warm server: suite first (primes both cache levels), then the edits.
-    lines = run_serve(serve, suite + edits)
-    replay, edited = lines[: len(suite)], lines[len(suite):]
+    lines = run_serve(serve, suite + [STATS] + edits + [STATS])
+    replay, primed = split_stats(lines[: len(suite) + 1])
+    edited, after = split_stats(lines[len(suite) + 1:])
     # Every edit must MISS the design cache (the text changed) ...
     not_fresh = [
         (l.get("id"), l["cache"]) for l in edited if l["cache"] != "fresh"
     ]
     assert not not_fresh, f"edited designs not fresh: {not_fresh}"
     # ... while its unchanged gates hit the slice cache underneath.
-    primed = replay[-1]["cache_stats"]
-    after = edited[-1]["cache_stats"]
     gate_hits = after["gate_hits"] - primed["gate_hits"]
     assert gate_hits > 0, (primed, after)
     # The STG never changed, so EVERY edit reuses the suite pass's cached
@@ -241,10 +251,8 @@ def main() -> int:
 
     designs = sorted(glob.glob(design_dir + "/*.g"))
     assert designs, f"no .g designs in {design_dir}"
-    requests = "".join(
-        json.dumps({"id": i, "design": path}) + "\n"
-        for i, path in enumerate(designs * 2)
-    )
+    passes = [{"id": i, "design": path} for i, path in enumerate(designs * 2)]
+    requests = "".join(json.dumps(r) + "\n" for r in passes + [STATS])
 
     # --admit 1 keeps the two passes strictly sequential so every repeat is
     # a plain "hit" (concurrent admission could legitimately coalesce).
@@ -254,7 +262,9 @@ def main() -> int:
     proc = subprocess.run(
         command, input=requests, capture_output=True, text=True, check=True
     )
-    lines = [json.loads(line) for line in proc.stdout.strip().split("\n")]
+    lines, stats = split_stats(
+        [json.loads(line) for line in proc.stdout.strip().split("\n")]
+    )
     assert len(lines) == 2 * len(designs), (len(lines), len(designs))
     bad = [l for l in lines if not l["ok"]]
     assert not bad, bad
@@ -279,7 +289,6 @@ def main() -> int:
     # The dumped directory IS the embedded suite, so warming runs each
     # design exactly once and both replay passes must hit; without warming
     # pass 1 is the only source of misses.
-    stats = second[-1]["cache_stats"]
     assert stats["misses"] == len(designs), stats
     assert stats["hits"] == len(designs) * (2 if warm else 1), stats
 

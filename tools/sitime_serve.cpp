@@ -22,8 +22,10 @@
 //                        default 1)
 //   --admit N            concurrent requests in flight, across all
 //                        connections (default 4)
-//   --cache-mb N         design-cache byte budget in MiB (default 256;
-//                        0 disables caching, single-flight still applies)
+//   --cache-mb N         byte budget in MiB shared by the design,
+//                        decomposition and gate-slice caches (default
+//                        256; 0 disables caching, single-flight still
+//                        applies)
 //   --cache-dir DIR      persistent warm store: terminal design entries
 //                        are spilled to DIR as they complete (crash-safe
 //                        writes) and reloaded at boot, so a restarted
