@@ -22,6 +22,13 @@ class Error : public std::runtime_error {
 }
 
 /// Throws Error with the given message when the condition does not hold.
+/// The literal overload costs nothing unless the check fails; a message
+/// that has to be computed belongs behind the condition instead
+/// (`if (!condition) fail(...)`), so passing checks build no string.
+inline void check(bool condition, const char* message) {
+  if (!condition) fail(message);
+}
+
 inline void check(bool condition, const std::string& message) {
   if (!condition) fail(message);
 }

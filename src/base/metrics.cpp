@@ -74,9 +74,9 @@ MetricsRegistry::Family& MetricsRegistry::family_locked(
     const std::string& type) {
   for (auto& family : families_) {
     if (family->name != name) continue;
-    check(family->type == type, "MetricsRegistry: '" + name +
-                                    "' already registered as " +
-                                    family->type + ", not " + type);
+    if (family->type != type)
+      fail("MetricsRegistry: '" + name + "' already registered as " +
+           family->type + ", not " + type);
     return *family;
   }
   auto family = std::make_unique<Family>();
@@ -100,8 +100,8 @@ MetricCounter& MetricsRegistry::counter(const std::string& name,
   std::lock_guard<std::mutex> lock(mutex_);
   Family& family = family_locked(name, help, "counter");
   if (Series* existing = find_series_locked(family, labels)) {
-    check(existing->counter != nullptr,
-          "MetricsRegistry: '" + name + "' series is not a plain counter");
+    if (existing->counter == nullptr)
+      fail("MetricsRegistry: '" + name + "' series is not a plain counter");
     return *existing->counter;
   }
   auto series = std::make_unique<Series>();
@@ -117,8 +117,8 @@ MetricGauge& MetricsRegistry::gauge(const std::string& name,
   std::lock_guard<std::mutex> lock(mutex_);
   Family& family = family_locked(name, help, "gauge");
   if (Series* existing = find_series_locked(family, labels)) {
-    check(existing->gauge != nullptr,
-          "MetricsRegistry: '" + name + "' series is not a plain gauge");
+    if (existing->gauge == nullptr)
+      fail("MetricsRegistry: '" + name + "' series is not a plain gauge");
     return *existing->gauge;
   }
   auto series = std::make_unique<Series>();
@@ -135,8 +135,8 @@ MetricHistogram& MetricsRegistry::histogram(const std::string& name,
   std::lock_guard<std::mutex> lock(mutex_);
   Family& family = family_locked(name, help, "histogram");
   if (Series* existing = find_series_locked(family, labels)) {
-    check(existing->histogram != nullptr,
-          "MetricsRegistry: '" + name + "' series is not a histogram");
+    if (existing->histogram == nullptr)
+      fail("MetricsRegistry: '" + name + "' series is not a histogram");
     return *existing->histogram;
   }
   auto series = std::make_unique<Series>();
@@ -155,9 +155,9 @@ void MetricsRegistry::callback(const void* owner, const std::string& name,
         "MetricsRegistry: callback type must be counter or gauge");
   std::lock_guard<std::mutex> lock(mutex_);
   Family& family = family_locked(name, help, type);
-  check(find_series_locked(family, labels) == nullptr,
-        "MetricsRegistry: callback series '" + name + "{" + labels +
-            "}' registered twice");
+  if (find_series_locked(family, labels) != nullptr)
+    fail("MetricsRegistry: callback series '" + name + "{" + labels +
+         "}' registered twice");
   auto series = std::make_unique<Series>();
   series->labels = labels;
   series->read = std::move(read);

@@ -13,18 +13,19 @@ Cube parse_cube(const std::string& text, const NameResolver& resolve) {
   Cube cube;
   for (const std::string& raw : base::split(text, "*")) {
     std::string name = base::trim(raw);
-    check(!name.empty(), "parse_eqn: empty literal in cube '" + text + "'");
+    if (name.empty())
+      fail("parse_eqn: empty literal in cube '" + text + "'");
     bool phase = true;
     if (base::ends_with(name, "'")) {
       phase = false;
       name = name.substr(0, name.size() - 1);
     }
     const int var = resolve(name);
-    check(var >= 0, "parse_eqn: unknown signal '" + name + "'");
+    if (var < 0) fail("parse_eqn: unknown signal '" + name + "'");
     check(var < kMaxVariables, "parse_eqn: variable id out of range");
     const Cube literal = Cube::literal(var, phase);
-    check(!cube.has_literal(var, !phase),
-          "parse_eqn: contradictory literals on '" + name + "'");
+    if (cube.has_literal(var, !phase))
+      fail("parse_eqn: contradictory literals on '" + name + "'");
     cube.pos |= literal.pos;
     cube.neg |= literal.neg;
   }
@@ -51,8 +52,8 @@ std::vector<Equation> parse_eqn(const std::string& text,
       pending = pending.substr(semi + 1);
       if (!statement.empty()) {
         const auto eq = statement.find('=');
-        check(eq != std::string::npos,
-              "parse_eqn: missing '=' in '" + statement + "'");
+        if (eq == std::string::npos)
+          fail("parse_eqn: missing '=' in '" + statement + "'");
         const std::string lhs = base::trim(statement.substr(0, eq));
         const std::string rhs = base::trim(statement.substr(eq + 1));
         check(!lhs.empty(), "parse_eqn: empty left-hand side");
@@ -61,18 +62,19 @@ std::vector<Equation> parse_eqn(const std::string& text,
               "parse_eqn: brackets are not allowed in the restricted format");
         Equation equation;
         equation.output = resolve(lhs);
-        check(equation.output >= 0, "parse_eqn: unknown output '" + lhs + "'");
+        if (equation.output < 0)
+          fail("parse_eqn: unknown output '" + lhs + "'");
         for (const std::string& cube_text : base::split(rhs, "+"))
           equation.cover.cubes.push_back(parse_cube(cube_text, resolve));
-        check(!equation.cover.cubes.empty(),
-              "parse_eqn: empty right-hand side in '" + statement + "'");
+        if (equation.cover.cubes.empty())
+          fail("parse_eqn: empty right-hand side in '" + statement + "'");
         equations.push_back(equation);
       }
       semi = pending.find(';');
     }
   }
-  check(base::trim(pending).empty(),
-        "parse_eqn: trailing text without ';': '" + base::trim(pending) + "'");
+  if (!base::trim(pending).empty())
+    fail("parse_eqn: trailing text without ';': '" + base::trim(pending) + "'");
   return equations;
 }
 

@@ -17,9 +17,9 @@ void Circuit::add_gate(Gate gate) {
         "Circuit::add_gate: bad output signal");
   check(!signals_->is_input(gate.output),
         "Circuit::add_gate: input signal cannot own a gate");
-  check(gate_index_[gate.output] == -1,
-        "Circuit::add_gate: duplicate gate for '" +
-            signals_->name(gate.output) + "'");
+  if (gate_index_[gate.output] != -1)
+    fail("Circuit::add_gate: duplicate gate for '" +
+         signals_->name(gate.output) + "'");
   // Fan-ins: union support of the two covers minus the output itself.
   const std::uint64_t support =
       (gate.up.support() | gate.down.support()) &
@@ -57,9 +57,9 @@ Circuit Circuit::from_equations(const stg::SignalTable* signals,
     circuit.add_gate(std::move(gate));
   }
   for (int s = 0; s < signals->count(); ++s)
-    check(signals->is_input(s) || circuit.has_gate(s),
-          "Circuit::from_equations: no equation for non-input signal '" +
-              signals->name(s) + "'");
+    if (!signals->is_input(s) && !circuit.has_gate(s))
+      fail("Circuit::from_equations: no equation for non-input signal '" +
+           signals->name(s) + "'");
   return circuit;
 }
 

@@ -26,9 +26,9 @@ stg::MgStg mg_from_component(const stg::Stg& stg,
       if (to_local[t] != -1) from = to_local[t];
     for (int t : stg.net.place_outputs(p))
       if (to_local[t] != -1) to = to_local[t];
-    check(from != -1 && to != -1,
-          "mg_from_component: dangling place '" + stg.net.place_name(p) +
-              "' in component");
+    if (from == -1 || to == -1)
+      fail("mg_from_component: dangling place '" + stg.net.place_name(p) +
+           "' in component");
     mg.insert_arc(from, to, stg.net.initial_marking()[p]);
   }
   mg.initial_values = initial_values;

@@ -125,8 +125,9 @@ std::vector<MgComponent> mg_components(const PetriNet& net,
   for (const MgComponent& component : components)
     for (int t : component.transitions) covered[t] = true;
   for (int t = 0; t < net.transition_count(); ++t)
-    check(covered[t], "mg_components: transition '" + net.transition_name(t) +
-                          "' not covered by any MG component");
+    if (!covered[t])
+      fail("mg_components: transition '" + net.transition_name(t) +
+           "' not covered by any MG component");
   return components;
 }
 

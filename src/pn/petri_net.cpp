@@ -66,8 +66,8 @@ bool PetriNet::enabled(int transition, const Marking& marking) const {
 }
 
 Marking PetriNet::fire(int transition, const Marking& marking) const {
-  check(enabled(transition, marking),
-        "fire: transition '" + transition_name(transition) + "' not enabled");
+  if (!enabled(transition, marking))
+    fail("fire: transition '" + transition_name(transition) + "' not enabled");
   Marking next = marking;
   for (int place : transition_in_[transition]) --next[place];
   for (int place : transition_out_[transition]) ++next[place];

@@ -79,15 +79,16 @@ StateGraph build_state_graph(const stg::MgStg& mg,
   for (int i = 0; i < arc_count; ++i) has_input[arcs[i].to] = true;
   const std::vector<int> alive = mg.alive_transitions();
   for (int t : alive)
-    check(has_input[t], "build_state_graph: transition '" +
-                            mg.transition_text(t) + "' has no input arc");
+    if (!has_input[t])
+      fail("build_state_graph: transition '" + mg.transition_text(t) +
+           "' has no input arc");
 
   std::uint64_t initial_code = 0;
   for (int t : alive) {
     const int signal = mg.label(t).signal;
-    check(mg.initial_values[signal] >= 0,
-          "build_state_graph: unknown initial value for signal '" +
-              mg.signals().name(signal) + "'");
+    if (mg.initial_values[signal] < 0)
+      fail("build_state_graph: unknown initial value for signal '" +
+           mg.signals().name(signal) + "'");
     if (mg.initial_values[signal] == 1)
       initial_code |= std::uint64_t{1} << signal;
   }
@@ -152,9 +153,9 @@ StateGraph build_state_graph(const stg::MgStg& mg,
       // Consistency: a+ requires a = 0, a- requires a = 1.
       const stg::TransitionLabel& label = mg.label(t);
       const bool value = (graph.codes[state] >> label.signal) & 1;
-      check(value != label.rising,
-            "build_state_graph: inconsistent firing of '" +
-                mg.transition_text(t) + "'");
+      if (value == label.rising)
+        fail("build_state_graph: inconsistent firing of '" +
+             mg.transition_text(t) + "'");
       fire.fire(t, current.data(), next.data());
       if (fire.max_output_tokens(t, next.data()) > token_limit)
         throw_token_bound();
@@ -245,9 +246,9 @@ StateGraph build_state_graph(const stg::MgStg& mg,
         std::size_t word_at = 0;
         for (const Candidate& cand : heads[chunk]) {
           begin_state(cand.state);
-          check(cand.error != CandError::inconsistent,
-                "build_state_graph: inconsistent firing of '" +
-                    mg.transition_text(cand.transition) + "'");
+          if (cand.error == CandError::inconsistent)
+            fail("build_state_graph: inconsistent firing of '" +
+                 mg.transition_text(cand.transition) + "'");
           if (cand.error == CandError::token_bound) throw_token_bound();
           const auto [succ, inserted] =
               graph.states.insert_packed(cand_words[chunk].data() + word_at);
@@ -315,8 +316,8 @@ GlobalSg build_global_sg(const stg::Stg& stg, int state_limit,
         assigned[succ] = true;
       } else if (rel[succ] != expect) {
         const int bad = std::countr_zero(rel[succ] ^ expect);
-        check(false, "build_global_sg: STG is inconsistent on signal '" +
-                         stg.signals.name(bad) + "'");
+        fail("build_global_sg: STG is inconsistent on signal '" +
+             stg.signals.name(bad) + "'");
       }
       const std::uint64_t before = stg.labels[t].rising ? 0 : bit;
       const std::uint64_t init_bit = (rel[s] & bit) ^ before;
@@ -324,15 +325,16 @@ GlobalSg build_global_sg(const stg::Stg& stg, int state_limit,
         init_known |= bit;
         init_code |= init_bit;
       } else {
-        check((init_code & bit) == init_bit,
-              "build_global_sg: STG is inconsistent on signal '" +
-                  stg.signals.name(a) + "'");
+        if ((init_code & bit) != init_bit)
+          fail("build_global_sg: STG is inconsistent on signal '" +
+               stg.signals.name(a) + "'");
       }
     }
   }
   for (int a = 0; a < signal_count; ++a)
-    check((seen >> a) & 1, "build_global_sg: signal '" +
-                               stg.signals.name(a) + "' never transitions");
+    if (!((seen >> a) & 1))
+      fail("build_global_sg: signal '" + stg.signals.name(a) +
+           "' never transitions");
   for (int s = 0; s < states; ++s) sg.codes[s] = rel[s] ^ init_code;
   return sg;
 }

@@ -1,7 +1,9 @@
 #include "stg/astg.hpp"
 
+#include <cstdint>
 #include <map>
-#include <sstream>
+#include <string_view>
+#include <unordered_map>
 
 #include "base/error.hpp"
 #include "base/strings.hpp"
@@ -10,14 +12,39 @@ namespace sitime::stg {
 
 namespace {
 
+constexpr std::string_view kWhitespace = " \t\r\n";
+
+/// One graph-line arc. The tokens view the parsed text; a transition
+/// endpoint also carries its transition id (-1 = an explicit place).
 struct PendingArc {
-  std::string from;
-  std::string to;
+  std::string_view from;
+  std::string_view to;
+  int from_transition = -1;
+  int to_transition = -1;
 };
+
+std::string_view trim(std::string_view text) {
+  const auto first = text.find_first_not_of(kWhitespace);
+  if (first == std::string_view::npos) return {};
+  const auto last = text.find_last_not_of(kWhitespace);
+  return text.substr(first, last - first + 1);
+}
+
+/// Splits `text` on runs of whitespace into `pieces` (cleared first).
+void split(std::string_view text, std::vector<std::string_view>& pieces) {
+  pieces.clear();
+  std::size_t at = text.find_first_not_of(kWhitespace);
+  while (at != std::string_view::npos) {
+    const std::size_t end = text.find_first_of(kWhitespace, at);
+    pieces.push_back(text.substr(at, end - at));
+    if (end == std::string_view::npos) break;
+    at = text.find_first_not_of(kWhitespace, end);
+  }
+}
 
 /// Splits a ".marking { ... }" body into tokens, keeping "<a,b>" units
 /// together.
-std::vector<std::string> marking_tokens(const std::string& body) {
+std::vector<std::string> marking_tokens(std::string_view body) {
   std::vector<std::string> tokens;
   std::string current;
   int depth = 0;
@@ -37,6 +64,15 @@ std::vector<std::string> marking_tokens(const std::string& body) {
   return tokens;
 }
 
+/// Index key of a transition label: distinct labels, distinct keys.
+std::uint64_t label_key(const TransitionLabel& label) {
+  return (static_cast<std::uint64_t>(label.signal) << 33) |
+         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(
+              label.occurrence))
+          << 1) |
+         (label.rising ? 1u : 0u);
+}
+
 }  // namespace
 
 Stg parse_astg(const std::string& text) {
@@ -44,96 +80,123 @@ Stg parse_astg(const std::string& text) {
   std::vector<PendingArc> arcs;
   std::vector<std::string> marking;
   bool in_graph = false;
-  std::istringstream stream(text);
-  std::string line;
   int line_number = 0;
   auto syntax_error = [&line_number](const std::string& message) {
     fail("parse_astg: line " + std::to_string(line_number) + ": " + message);
   };
-  while (std::getline(stream, line)) {
+  std::vector<std::string_view> pieces;
+  const std::string_view all = text;
+  for (std::size_t at = 0; at < all.size();) {
+    std::size_t end = all.find('\n', at);
+    if (end == std::string_view::npos) end = all.size();
+    const std::string_view line = trim(all.substr(at, end - at));
+    at = end + 1;
     ++line_number;
-    line = base::trim(line);
     if (line.empty() || line[0] == '#') continue;
-    if (base::starts_with(line, ".model")) {
-      const auto pieces = base::split(line);
+    if (line.starts_with(".model")) {
+      split(line, pieces);
       if (pieces.size() >= 2) stg.model_name = pieces[1];
-    } else if (base::starts_with(line, ".inputs") ||
-               base::starts_with(line, ".outputs") ||
-               base::starts_with(line, ".internal")) {
-      const SignalKind kind = base::starts_with(line, ".inputs")
+    } else if (line.starts_with(".inputs") || line.starts_with(".outputs") ||
+               line.starts_with(".internal")) {
+      const SignalKind kind = line.starts_with(".inputs")
                                   ? SignalKind::input
-                              : base::starts_with(line, ".outputs")
+                              : line.starts_with(".outputs")
                                   ? SignalKind::output
                                   : SignalKind::internal;
-      auto pieces = base::split(line);
+      split(line, pieces);
       for (std::size_t i = 1; i < pieces.size(); ++i)
-        stg.signals.add(pieces[i], kind);
-    } else if (base::starts_with(line, ".dummy")) {
+        stg.signals.add(std::string(pieces[i]), kind);
+    } else if (line.starts_with(".dummy")) {
       syntax_error("dummy transitions are not supported by this flow");
-    } else if (base::starts_with(line, ".graph")) {
+    } else if (line.starts_with(".graph")) {
       in_graph = true;
-    } else if (base::starts_with(line, ".marking")) {
+    } else if (line.starts_with(".marking")) {
       const auto open = line.find('{');
       const auto close = line.rfind('}');
-      if (open == std::string::npos || close == std::string::npos ||
-          close < open)
+      if (open == std::string_view::npos ||
+          close == std::string_view::npos || close < open)
         syntax_error("malformed .marking line");
       marking = marking_tokens(line.substr(open + 1, close - open - 1));
-    } else if (base::starts_with(line, ".capacity")) {
+    } else if (line.starts_with(".capacity")) {
       // Capacities are not used by safe STGs; ignored for compatibility.
-    } else if (base::starts_with(line, ".end")) {
+    } else if (line.starts_with(".end")) {
       break;
-    } else if (base::starts_with(line, ".")) {
-      syntax_error("unknown directive '" + base::split(line)[0] + "'");
+    } else if (line.starts_with(".")) {
+      split(line, pieces);
+      syntax_error("unknown directive '" + std::string(pieces[0]) + "'");
     } else {
       if (!in_graph) syntax_error("graph line before .graph");
-      const auto pieces = base::split(line);
+      split(line, pieces);
       if (pieces.size() < 2) syntax_error("graph line needs >= 2 nodes");
       for (std::size_t i = 1; i < pieces.size(); ++i)
         arcs.push_back(PendingArc{pieces[0], pieces[i]});
     }
   }
 
+  // Signal names and transition labels are indexed here, so an arc token
+  // costs its own length rather than a scan of the tables. The name views
+  // stay valid: the signal table is complete.
+  std::unordered_map<std::string_view, int> signal_ids;
+  for (int s = 0; s < stg.signals.count(); ++s)
+    signal_ids.emplace(stg.signals.name(s), s);
+
   // First pass: create all transitions (and discover explicit places).
-  std::map<std::string, int> explicit_places;
-  auto classify = [&stg](const std::string& token, TransitionLabel& label) {
-    return parse_label(token, stg.signals, label);
-  };
-  for (const PendingArc& arc : arcs) {
-    for (const std::string& token : {arc.from, arc.to}) {
-      TransitionLabel label;
-      if (classify(token, label)) {
-        if (stg.find_transition(label) == -1) stg.add_transition(label);
-      } else {
-        if (!explicit_places.count(token)) explicit_places[token] = -1;
-      }
+  // A token is a transition when it is shaped like a label of a declared
+  // signal; anything else names a place.
+  std::unordered_map<std::uint64_t, int> transition_ids;
+  std::map<std::string, int, std::less<>> explicit_places;
+  auto resolve = [&](std::string_view token) {
+    std::string_view name;
+    bool rising = true;
+    int occurrence = 1;
+    const auto signal = split_label(token, name, rising, occurrence)
+                            ? signal_ids.find(name)
+                            : signal_ids.end();
+    if (signal == signal_ids.end()) {
+      explicit_places.try_emplace(std::string(token), -1);
+      return -1;
     }
+    const TransitionLabel label{signal->second, rising, occurrence};
+    const auto [slot, added] = transition_ids.try_emplace(
+        label_key(label), static_cast<int>(stg.labels.size()));
+    if (added) {
+      // Stg::add_transition without its checks: the signal is declared
+      // and the index proves the label new.
+      stg.net.add_transition(label_text(label, stg.signals));
+      stg.labels.push_back(label);
+    }
+    return slot->second;
+  };
+  for (PendingArc& arc : arcs) {
+    arc.from_transition = resolve(arc.from);
+    arc.to_transition = resolve(arc.to);
   }
   for (auto& [name, id] : explicit_places) id = stg.net.add_place(name, 0);
 
   // Second pass: materialize arcs. Transition->transition arcs introduce
   // implicit places named "<from,to>".
-  std::map<std::string, int> implicit_places;
+  std::unordered_map<std::string, int> implicit_places;
   for (const PendingArc& arc : arcs) {
-    TransitionLabel from_label;
-    TransitionLabel to_label;
-    const bool from_is_transition = classify(arc.from, from_label);
-    const bool to_is_transition = classify(arc.to, to_label);
-    if (from_is_transition && to_is_transition) {
-      const int from = stg.find_transition(from_label);
-      const int to = stg.find_transition(to_label);
-      const std::string name = "<" + arc.from + "," + arc.to + ">";
-      check(!implicit_places.count(name),
-            "parse_astg: duplicate arc " + name);
-      implicit_places[name] = stg.connect(from, to, 0);
-    } else if (from_is_transition && !to_is_transition) {
-      stg.net.add_transition_to_place(stg.find_transition(from_label),
-                                      explicit_places[arc.to]);
-    } else if (!from_is_transition && to_is_transition) {
-      stg.net.add_place_to_transition(explicit_places[arc.from],
-                                      stg.find_transition(to_label));
+    const int from = arc.from_transition;
+    const int to = arc.to_transition;
+    if (from != -1 && to != -1) {
+      std::string name = "<";
+      name += arc.from;
+      name += ',';
+      name += arc.to;
+      name += '>';
+      if (implicit_places.count(name))
+        fail("parse_astg: duplicate arc " + name);
+      implicit_places.emplace(std::move(name), stg.connect(from, to, 0));
+    } else if (from != -1) {
+      stg.net.add_transition_to_place(from,
+                                      explicit_places.find(arc.to)->second);
+    } else if (to != -1) {
+      stg.net.add_place_to_transition(explicit_places.find(arc.from)->second,
+                                      to);
     } else {
-      fail("parse_astg: place-to-place arc " + arc.from + " -> " + arc.to);
+      fail("parse_astg: place-to-place arc " + std::string(arc.from) +
+           " -> " + std::string(arc.to));
     }
   }
 
@@ -146,13 +209,13 @@ Stg parse_astg(const std::string& text) {
       for (char c : token)
         if (c != ' ' && c != '\t') normalized.push_back(c);
       const auto it = implicit_places.find(normalized);
-      check(it != implicit_places.end(),
-            "parse_astg: marking names unknown implicit place " + token);
+      if (it == implicit_places.end())
+        fail("parse_astg: marking names unknown implicit place " + token);
       place = it->second;
     } else {
       const auto it = explicit_places.find(token);
-      check(it != explicit_places.end(),
-            "parse_astg: marking names unknown place " + token);
+      if (it == explicit_places.end())
+        fail("parse_astg: marking names unknown place " + token);
       place = it->second;
     }
     stg.net.set_initial_tokens(place,

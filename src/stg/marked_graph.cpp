@@ -50,8 +50,9 @@ void MgStg::insert_arc(int from, int to, int tokens, ArcKind kind) {
   check(tokens >= 0, "insert_arc: negative tokens");
   if (from == to) {
     // Loop-only place: redundant when marked, dead when not (Section 5.3.3).
-    check(tokens > 0, "insert_arc: token-free self-loop would deadlock '" +
-                          transition_text(from) + "'");
+    if (tokens <= 0)
+      fail("insert_arc: token-free self-loop would deadlock '" +
+           transition_text(from) + "'");
     return;
   }
   const int existing = find_arc(from, to);
@@ -65,8 +66,9 @@ void MgStg::insert_arc(int from, int to, int tokens, ArcKind kind) {
 
 void MgStg::remove_arc(int from, int to) {
   const int index = find_arc(from, to);
-  check(index != -1, "remove_arc: arc not present: " + transition_text(from) +
-                         " => " + transition_text(to));
+  if (index == -1)
+    fail("remove_arc: arc not present: " + transition_text(from) + " => " +
+         transition_text(to));
   arcs_.erase(arcs_.begin() + index);
 }
 
@@ -151,8 +153,9 @@ void MgStg::project(const std::vector<bool>& keep_signal) {
 
 void MgStg::relax(int from, int to) {
   const int index = find_arc(from, to);
-  check(index != -1, "relax: arc not present: " + transition_text(from) +
-                         " => " + transition_text(to));
+  if (index == -1)
+    fail("relax: arc not present: " + transition_text(from) + " => " +
+         transition_text(to));
   check(arcs_[index].kind == ArcKind::normal,
         "relax: only normal arcs may be relaxed");
   const int shared_tokens = arcs_[index].tokens;
@@ -274,10 +277,10 @@ void MgStg::validate() const {
             "validate: duplicate arc");
   for (int t = 0; t < transition_count(); ++t) {
     if (!alive_[t]) continue;
-    check(!preds(t).empty(), "validate: transition without predecessors: " +
-                                 transition_text(t));
-    check(!succs(t).empty(),
-          "validate: transition without successors: " + transition_text(t));
+    if (preds(t).empty())
+      fail("validate: transition without predecessors: " + transition_text(t));
+    if (succs(t).empty())
+      fail("validate: transition without successors: " + transition_text(t));
   }
 }
 

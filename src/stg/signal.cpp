@@ -8,7 +8,8 @@ namespace sitime::stg {
 
 int SignalTable::add(const std::string& name, SignalKind kind) {
   check(!name.empty(), "SignalTable::add: empty name");
-  check(find(name) == -1, "SignalTable::add: duplicate signal '" + name + "'");
+  if (find(name) != -1)
+    fail("SignalTable::add: duplicate signal '" + name + "'");
   names_.push_back(name);
   kinds_.push_back(kind);
   return count() - 1;
@@ -30,29 +31,43 @@ std::string label_text(const TransitionLabel& label,
                        const SignalTable& table) {
   std::string text = table.name(label.signal);
   text += label.rising ? "+" : "-";
-  if (label.occurrence != 1) text += "/" + std::to_string(label.occurrence);
+  if (label.occurrence != 1) {
+    text += '/';
+    text += std::to_string(label.occurrence);
+  }
   return text;
 }
 
-bool parse_label(const std::string& text, const SignalTable& table,
-                 TransitionLabel& out) {
-  std::string body = text;
-  int occurrence = 1;
+bool split_label(std::string_view text, std::string_view& name,
+                 bool& rising, int& occurrence) {
+  std::string_view body = text;
+  occurrence = 1;
   const auto slash = body.find('/');
-  if (slash != std::string::npos) {
-    const std::string index = body.substr(slash + 1);
+  if (slash != std::string_view::npos) {
+    const std::string_view index = body.substr(slash + 1);
     if (index.empty() ||
-        index.find_first_not_of("0123456789") != std::string::npos)
+        index.find_first_not_of("0123456789") != std::string_view::npos)
       return false;
-    occurrence = std::stoi(index);
+    occurrence = std::stoi(std::string(index));
     body = body.substr(0, slash);
   }
   if (body.size() < 2) return false;
   const char direction = body.back();
   if (direction != '+' && direction != '-') return false;
-  const int signal = table.find(body.substr(0, body.size() - 1));
+  name = body.substr(0, body.size() - 1);
+  rising = direction == '+';
+  return true;
+}
+
+bool parse_label(const std::string& text, const SignalTable& table,
+                 TransitionLabel& out) {
+  std::string_view name;
+  bool rising = true;
+  int occurrence = 1;
+  if (!split_label(text, name, rising, occurrence)) return false;
+  const int signal = table.find(std::string(name));
   if (signal == -1) return false;
-  out = TransitionLabel{signal, direction == '+', occurrence};
+  out = TransitionLabel{signal, rising, occurrence};
   return true;
 }
 

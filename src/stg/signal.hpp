@@ -7,6 +7,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace sitime::stg {
@@ -65,5 +66,12 @@ std::string label_text(const TransitionLabel& label, const SignalTable& table);
 /// name).
 bool parse_label(const std::string& text, const SignalTable& table,
                  TransitionLabel& out);
+
+/// The syntactic half of parse_label: splits "name+/2" into the signal
+/// name (a view into `text`), the direction and the occurrence. Returns
+/// false when `text` is not shaped like a label; whether the signal
+/// exists is the caller's question.
+bool split_label(std::string_view text, std::string_view& name,
+                 bool& rising, int& occurrence);
 
 }  // namespace sitime::stg

@@ -7,9 +7,9 @@ namespace sitime::stg {
 int Stg::add_transition(const TransitionLabel& label) {
   check(label.signal >= 0 && label.signal < signals.count(),
         "Stg::add_transition: unknown signal id");
-  check(find_transition(label) == -1,
-        "Stg::add_transition: duplicate transition '" +
-            label_text(label, signals) + "'");
+  if (find_transition(label) != -1)
+    fail("Stg::add_transition: duplicate transition '" +
+         label_text(label, signals) + "'");
   const int id = net.add_transition(label_text(label, signals));
   labels.push_back(label);
   return id;

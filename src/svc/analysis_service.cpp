@@ -1,5 +1,6 @@
 #include "svc/analysis_service.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -48,6 +49,18 @@ std::string fnv1a_hex(const std::string& text) {
   }
   out[16] = '\0';
   return out;
+}
+
+/// Hash of a request's raw design spelling, the front-index slot key. The
+/// two texts are hashed apart with the astg length mixed in, so bytes
+/// moved across the astg/eqn boundary change the hash; a slot is trusted
+/// only after a byte compare of both texts anyway.
+std::uint64_t spelling_hash(const std::string& astg, const std::string& eqn) {
+  const std::hash<std::string> hash;
+  std::uint64_t mixed = hash(astg);
+  mixed ^= astg.size() + 0x9e3779b97f4a7c15ull + (mixed << 6) + (mixed >> 2);
+  mixed ^= hash(eqn) + 0x9e3779b97f4a7c15ull + (mixed << 6) + (mixed >> 2);
+  return mixed;
 }
 
 /// State codes pack one bit per signal into a 64-bit word
@@ -142,6 +155,14 @@ struct AnalysisService::Entry {
   /// decides whether a decompose run donates synthesis products to the
   /// decomposition cache. Immutable.
   bool explicit_netlist = false;
+  /// The raw request spelling (astg and eqn text exactly as received)
+  /// the front index serves this entry for: the creating request's, or
+  /// for an entry warmed from disk the first one that parsed to it (empty
+  /// until then; a design's astg text is never empty). Written once —
+  /// before the entry is shared, or under mutex_ and `mutex` — and read
+  /// under either lock.
+  std::string spelled_astg;
+  std::string spelled_eqn;
 
   std::mutex mutex;
   std::condition_variable cv;
@@ -183,6 +204,10 @@ struct AnalysisService::Entry {
                         2 * heap_bytes(canonical) + heap_bytes(key_hex) +
                         heap_bytes(stg_canonical) + 2 * kHashNodeBytes +
                         sizeof(std::shared_ptr<Entry>) + 2 * sizeof(void*);
+    if (!spelled_astg.empty())
+      total += heap_bytes(spelled_astg) + heap_bytes(spelled_eqn) +
+               kHashNodeBytes +
+               sizeof(std::pair<std::uint64_t, std::weak_ptr<Entry>>);
     if (artifacts.stg != nullptr) total += footprint(*artifacts.stg);
     if (artifacts.circuit != nullptr) total += footprint(*artifacts.circuit);
     if (completed >= core::Phase::decomposed)
@@ -758,6 +783,30 @@ void AnalysisService::respond_from_locked(const Entry& entry,
   }
 }
 
+std::shared_ptr<AnalysisService::Entry> AnalysisService::front_lookup(
+    std::uint64_t spelling, const AnalysisRequest& request) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto slot = front_.find(spelling);
+  if (slot == front_.end()) return nullptr;
+  const std::shared_ptr<Entry> spelled = slot->second.lock();
+  if (spelled == nullptr || spelled->spelled_astg != request.astg ||
+      spelled->spelled_eqn != request.eqn)
+    return nullptr;
+  // The spelling parses to this canonical key, so whatever the design
+  // level holds under it answers the request; the lookup also refreshes
+  // its LRU position, as a parsed hit's does.
+  return designs_.lookup(spelled->canonical).entry;
+}
+
+void AnalysisService::remember_spelling_locked(
+    std::uint64_t spelling, const std::shared_ptr<Entry>& entry) {
+  front_[spelling] = entry;
+  if (front_.size() < front_sweep_at_) return;
+  std::erase_if(front_,
+                [](const auto& slot) { return slot.second.expired(); });
+  front_sweep_at_ = std::max(kFrontSweepFloor, 2 * front_.size());
+}
+
 AnalysisResponse AnalysisService::analyze(const AnalysisRequest& request) {
   const auto start = std::chrono::steady_clock::now();
   AnalysisResponse response;
@@ -784,60 +833,87 @@ AnalysisResponse AnalysisService::analyze(const AnalysisRequest& request) {
     return response;
   }
 
+  // A byte-identical repeat of a resident entry's spelling is served
+  // from the entry without parsing or keying.
+  const std::uint64_t spelling = spelling_hash(request.astg, request.eqn);
+  std::shared_ptr<Entry> entry = front_lookup(spelling, request);
   Parsed parsed;
-  try {
-    const double parse_begin = seconds_since(start);
-    parsed = parse_request(request, options_.expand);
-    response.key = parsed.key_hex;
-    const double parse_seconds = seconds_since(start) - parse_begin;
-    phase_seconds_[0][0]->observe(parse_seconds);
-    if (request.trace_spans)
-      response.spans.push_back(
-          {"parse", parse_begin, parse_seconds, "cold", ""});
-  } catch (const std::exception& error) {
-    // Injected parse faults are infrastructure failures, not malformed
-    // designs; everything else parse_request throws is bad input.
-    const bool injected =
-        dynamic_cast<const FaultInjectedError*>(&error) != nullptr;
-    fail_with(error.what(), injected ? "analysis_error" : "invalid_request",
-              /*count_failure=*/true);
-    return response;
-  }
-  const int signals = parsed.stg->signals.count();
-  if (signals > kMaxSignals) {
-    fail_with("design has " + std::to_string(signals) +
-                  " signals; state codes hold at most " +
-                  std::to_string(kMaxSignals),
-              "too_large", /*count_failure=*/true);
-    return response;
+  if (entry != nullptr) {
+    response.key = entry->key_hex;
+  } else {
+    try {
+      const double parse_begin = seconds_since(start);
+      parsed = parse_request(request, options_.expand);
+      response.key = parsed.key_hex;
+      const double parse_seconds = seconds_since(start) - parse_begin;
+      phase_seconds_[0][0]->observe(parse_seconds);
+      if (request.trace_spans)
+        response.spans.push_back(
+            {"parse", parse_begin, parse_seconds, "cold", ""});
+    } catch (const std::exception& error) {
+      // Injected parse faults are infrastructure failures, not malformed
+      // designs; everything else parse_request throws is bad input.
+      const bool injected =
+          dynamic_cast<const FaultInjectedError*>(&error) != nullptr;
+      fail_with(error.what(),
+                injected ? "analysis_error" : "invalid_request",
+                /*count_failure=*/true);
+      return response;
+    }
+    const int signals = parsed.stg->signals.count();
+    if (signals > kMaxSignals) {
+      fail_with("design has " + std::to_string(signals) +
+                    " signals; state codes hold at most " +
+                    std::to_string(kMaxSignals),
+                "too_large", /*count_failure=*/true);
+      return response;
+    }
+
+    // Find or create the ONE entry for this design — resident, in
+    // flight, or brand new (the creator donates its parsed design and its
+    // spelling to the entry).
+    std::lock_guard<std::mutex> lock(mutex_);
+    entry = designs_.lookup(parsed.canonical).entry;
+    if (entry != nullptr) {
+      if (entry->spelled_astg.empty()) {
+        // Warmed from disk: adopt this spelling and re-charge the entry
+        // with it. Such entries are terminal, so they never have a
+        // runner and sizing them here is safe.
+        std::size_t bytes = 0;
+        {
+          std::lock_guard<std::mutex> elock(entry->mutex);
+          entry->spelled_astg = request.astg;
+          entry->spelled_eqn = request.eqn;
+          bytes = entry->footprint_bytes();
+        }
+        designs_.insert(entry->canonical, Resident{entry, bytes});
+        remember_spelling_locked(spelling, entry);
+      }
+    } else if (const auto in_flight = inflight_.find(parsed.canonical);
+               in_flight != inflight_.end()) {
+      entry = in_flight->second;
+    } else {
+      // Not make_shared: a dead front slot then pins only the control
+      // block, not the entry's storage.
+      entry = std::shared_ptr<Entry>(new Entry);
+      entry->key_hex = parsed.key_hex;
+      entry->explicit_netlist = parsed.circuit != nullptr;
+      entry->artifacts.stg = std::move(parsed.stg);
+      entry->artifacts.circuit = std::move(parsed.circuit);
+      entry->canonical = std::move(parsed.canonical);
+      entry->stg_canonical = std::move(parsed.stg_canonical);
+      if (options_.cache_budget_bytes > 0) {
+        entry->spelled_astg = request.astg;
+        entry->spelled_eqn = request.eqn;
+        remember_spelling_locked(spelling, entry);
+      }
+      inflight_.emplace(entry->canonical, entry);
+    }
   }
 
   const core::Phase needed = request.mode == RequestMode::verify
                                  ? core::Phase::verified
                                  : core::Phase::derived;
-
-  // Find or create the ONE entry for this design — resident, in flight,
-  // or brand new (the creator donates its parsed design to the entry).
-  std::shared_ptr<Entry> entry;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    entry = designs_.lookup(parsed.canonical).entry;
-    if (entry == nullptr) {
-      const auto in_flight = inflight_.find(parsed.canonical);
-      if (in_flight != inflight_.end()) {
-        entry = in_flight->second;
-      } else {
-        entry = std::make_shared<Entry>();
-        entry->key_hex = parsed.key_hex;
-        entry->explicit_netlist = parsed.circuit != nullptr;
-        entry->artifacts.stg = std::move(parsed.stg);
-        entry->artifacts.circuit = std::move(parsed.circuit);
-        entry->canonical = std::move(parsed.canonical);
-        entry->stg_canonical = std::move(parsed.stg_canonical);
-        inflight_.emplace(entry->canonical, entry);
-      }
-    }
-  }
 
   // The per-(entry, phase) machine: serve, wait, run, or bypass.
   bool waited = false;
@@ -972,8 +1048,9 @@ AnalysisResponse AnalysisService::analyze(const AnalysisRequest& request) {
   const double run_begin = seconds_since(start);
   try {
     if (parsed.stg == nullptr) {
-      // We created the entry and donated our parse to it before another
-      // pool task claimed the run; parse again for the private copy.
+      // The front index served the entry without a parse, or we created
+      // the entry and donated our parse to it before another pool task
+      // claimed the run; parse again for the private copy.
       parsed = parse_request(request, options_.expand);
     }
     artifacts.stg = std::move(parsed.stg);
@@ -1114,7 +1191,9 @@ int AnalysisService::warm_from_disk() {
       continue;
     }
 
-    auto entry = std::make_shared<Entry>();
+    // Not make_shared, as in analyze(): a dead front slot pins only the
+    // control block.
+    auto entry = std::shared_ptr<Entry>(new Entry);
     entry->canonical = std::move(artifact.canonical);
     entry->key_hex = std::move(artifact.key_hex);
     entry->stg_canonical = std::move(artifact.stg_canonical);

@@ -11,6 +11,18 @@
 //     staged products of the flow (parsed design, FlowDecomposition, verify
 //     verdict, derived constraints + rendered report) together with a
 //     record of which phases have completed.
+//   - a raw-bytes front index over the design cache: a request whose
+//     astg and eqn text are byte-identical to the spelling that created a
+//     resident entry (or, for an entry warmed from disk, the first
+//     spelling that parsed to it) is served from that entry without
+//     parsing or rebuilding the canonical key (write_astg/to_eqn). The
+//     index maps a hash of the two texts to the entry; a hit is confirmed
+//     by a full byte compare of both texts (so the astg/eqn boundary
+//     cannot alias) and by one design-level lookup of the entry's
+//     canonical key, which also refreshes its LRU position. Every other
+//     request — reformatted text, a new design, a design whose entry was
+//     evicted — takes the parse path and hits or misses on the canonical
+//     key exactly as before.
 //   - lazy phase upgrades: because the entry is mode-independent, a design
 //     cached by a verify request answers a later derive request by running
 //     ONLY the derive phase on the cached decomposition ("upgraded"), and a
@@ -267,7 +279,10 @@ class AnalysisService {
   AnalysisService& operator=(const AnalysisService&) = delete;
 
   /// Answers one request, from cache when possible, running only the
-  /// phases the resident entry is missing. Thread-safe: any number of
+  /// phases the resident entry is missing. A byte-identical repeat of a
+  /// resident entry's spelling skips the parse (its trace has a `cache`
+  /// span and no `parse` span); every other request is parsed and keyed
+  /// on its canonical content. Thread-safe: any number of
   /// callers may be in analyze() concurrently; identical designs coalesce
   /// onto one phase run per (entry, phase) — except callers already inside
   /// a pool task (base::ThreadPool::in_task()), which run the flow
@@ -361,6 +376,15 @@ class AnalysisService {
 
   static Parsed parse_request(const AnalysisRequest& request,
                               const core::ExpandOptions& expand);
+  /// The resident entry a byte-identical spelling parsed to, or null.
+  /// Counts one design-level lookup when the slot's spelling matches.
+  std::shared_ptr<Entry> front_lookup(std::uint64_t spelling,
+                                      const AnalysisRequest& request);
+  /// Points the front slot `spelling` at `entry` (whose spelled_* fields
+  /// hold that spelling) and sweeps dead slots when the index has grown
+  /// to front_sweep_at_. Called with mutex_ held.
+  void remember_spelling_locked(std::uint64_t spelling,
+                                const std::shared_ptr<Entry>& entry);
   core::FlowOptions flow_options(int request_jobs,
                                  const core::CancelToken& cancel);
   /// Advances `entry` to its claimed target phase as the single-flight
@@ -420,6 +444,14 @@ class AnalysisService {
   /// single-flight on brand-new designs. Removed when their runner
   /// finishes (moved into the design level on success when it fits).
   std::unordered_map<std::string, std::shared_ptr<Entry>> inflight_;
+  /// The raw-bytes front index: spelling hash -> the entry that spelling
+  /// parsed to. Guarded by mutex_. Slots never own an entry; a slot whose
+  /// entry died is dead. Dead slots are swept when the index reaches
+  /// front_sweep_at_ slots, and the mark is then reset to twice the live
+  /// count, so a sweep costs amortized O(1) per inserted slot.
+  static constexpr std::size_t kFrontSweepFloor = 64;
+  std::unordered_map<std::uint64_t, std::weak_ptr<Entry>> front_;
+  std::size_t front_sweep_at_ = kFrontSweepFloor;
 
   /// Exception to the registry-owned rule: core::ExpandOptions carries a
   /// raw pointer to this atomic into the expansion hot loops, so the one

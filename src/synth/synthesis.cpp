@@ -40,10 +40,10 @@ NextStateTable next_state_table(const stg::Stg& stg, const sg::GlobalSg& sg,
     (next ? on : off).insert(sg.codes[s]);
   }
   for (std::uint64_t code : on)
-    check(!off.count(code),
-          "next_state_table: CSC conflict on signal '" +
-              stg.signals.name(signal) +
-              "' (two states share a code but disagree on the next state)");
+    if (off.count(code))
+      fail("next_state_table: CSC conflict on signal '" +
+           stg.signals.name(signal) +
+           "' (two states share a code but disagree on the next state)");
   return NextStateTable{{on.begin(), on.end()}, {off.begin(), off.end()}};
 }
 
@@ -97,9 +97,9 @@ std::vector<int> choose_support(const NextStateTable& table, int signal_count,
 GateFunctions synthesize_gate(const stg::Stg& stg, const sg::GlobalSg& sg,
                               int signal) {
   const NextStateTable table = next_state_table(stg, sg, signal);
-  check(!table.on.empty() && !table.off.empty(),
-        "synthesize_gate: constant next-state function for '" +
-            stg.signals.name(signal) + "'");
+  if (table.on.empty() || table.off.empty())
+    fail("synthesize_gate: constant next-state function for '" +
+         stg.signals.name(signal) + "'");
   const std::vector<int> support =
       choose_support(table, stg.signals.count());
   const int n = static_cast<int>(support.size());

@@ -597,6 +597,19 @@ TEST(Server, Ipv6LoopbackListenerServes) {
 #endif
 #endif
 
+// Blocks until the one-shot worker_stall fault has fired: the plug
+// request is then provably inside the single worker, so a follower sent
+// next queues behind it. (A fixed sleep raced the plug's admission under
+// parallel test load.)
+void wait_for_stalled_plug() {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (svc::FaultInjector::instance().fired(
+             svc::FaultPoint::worker_stall) < 1 &&
+         std::chrono::steady_clock::now() < give_up)
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+}
+
 TEST(Server, DeadlineExceededIsStructuredFastAndLeavesTheServerServing) {
   if (!base::fault_injection_compiled_in())
     GTEST_SKIP() << "built without SITIME_FAULTS";
@@ -616,7 +629,7 @@ TEST(Server, DeadlineExceededIsStructuredFastAndLeavesTheServerServing) {
   ASSERT_TRUE(probe.connected());
   svc::FaultScope stall(svc::FaultPoint::worker_stall, /*nth=*/1);
   plug.send(bench_request_line("plug", "adfast"));
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  wait_for_stalled_plug();
   const auto start = std::chrono::steady_clock::now();
   probe.send(
       "{\"id\":\"probe\",\"design\":{\"bench\":\"adfast\"},"
@@ -676,7 +689,7 @@ TEST(Server, QueueDepthWatermarkShedsWithAnOverloadedResponse) {
   // shed at admission with the structured overloaded line.
   svc::FaultScope stall(svc::FaultPoint::worker_stall, /*nth=*/1);
   plug.send(bench_request_line("plug", "adfast"));
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  wait_for_stalled_plug();
   second.send(bench_request_line("q1", "adfast"));
   third.send(bench_request_line("q2", "adfast"));
 
@@ -724,7 +737,7 @@ TEST(Server, QueueAgeValveShedsStaleRequestsAtDequeue) {
   // the worker reaches it, it has aged far past the 2 ms valve.
   svc::FaultScope stall(svc::FaultPoint::worker_stall, /*nth=*/1);
   plug.send(bench_request_line("plug", "adfast"));
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  wait_for_stalled_plug();
   stale.send(bench_request_line("stale", "adfast"));
 
   std::string line;

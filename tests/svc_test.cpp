@@ -9,6 +9,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <thread>
@@ -497,7 +499,8 @@ TEST(AnalysisService, TraceSpansNameEveryPhaseAndNestTheExpansion) {
   }
   EXPECT_LE(top_level_total, cold.seconds + 1e-9);
 
-  // A traced repeat is a cache hit: parse plus the cache span, no phases.
+  // A traced repeat is a cache hit: the cache span and no phases (being
+  // byte-identical, it skips the parse as well).
   const svc::AnalysisResponse hit = service.analyze(request);
   ASSERT_TRUE(hit.ok);
   EXPECT_EQ(hit.cache_state, "hit");
@@ -537,6 +540,188 @@ TEST(AnalysisService, TraceSpansTagLazyUpgradesAsUpgrade) {
   EXPECT_EQ(upgraded.spans[derive].detail, "upgrade");
   EXPECT_EQ(span_index(upgraded.spans, "decompose"), -1);
   EXPECT_EQ(span_index(upgraded.spans, "verify"), -1);
+}
+
+// ---- raw-bytes front index -----------------------------------------------
+
+TEST(FrontIndex, ByteIdenticalRepeatSkipsParsingAndServesTheColdBytes) {
+  svc::AnalysisService service;
+  svc::AnalysisRequest request = bench_request("imec-ram-read-sbuf");
+  request.trace_spans = true;
+  const svc::AnalysisResponse cold = service.analyze(request);
+  ASSERT_TRUE(cold.ok) << cold.error;
+  EXPECT_GE(span_index(cold.spans, "parse"), 0);
+
+  const svc::AnalysisResponse repeat = service.analyze(request);
+  ASSERT_TRUE(repeat.ok) << repeat.error;
+  EXPECT_EQ(repeat.cache_state, "hit");
+  EXPECT_EQ(repeat.key, cold.key);
+  EXPECT_EQ(span_index(repeat.spans, "parse"), -1);
+  const int cache = span_index(repeat.spans, "cache");
+  ASSERT_GE(cache, 0);
+  EXPECT_EQ(repeat.spans[cache].detail, "hit");
+  ASSERT_NE(repeat.canonical_json, nullptr);
+  ASSERT_NE(repeat.rendered, nullptr);
+  ASSERT_NE(repeat.netlist_eqn, nullptr);
+  EXPECT_EQ(*repeat.canonical_json, *cold.canonical_json);
+  EXPECT_EQ(repeat.rendered->json_body, cold.rendered->json_body);
+  EXPECT_EQ(*repeat.netlist_eqn, *cold.netlist_eqn);
+
+  // One design-level outcome per request, as for a parsed hit.
+  const svc::CacheStats stats = service.stats();
+  EXPECT_EQ(stats.misses, 1);
+  EXPECT_EQ(stats.hits, 1);
+}
+
+TEST(FrontIndex, WhitespaceVariantStillHitsThroughTheCanonicalKey) {
+  svc::AnalysisService service;
+  const svc::AnalysisResponse cold = service.analyze(bench_request("adfast"));
+  ASSERT_TRUE(cold.ok) << cold.error;
+
+  svc::AnalysisRequest variant = bench_request("adfast");
+  variant.astg = "\n# reformatted\n" + variant.astg;
+  variant.trace_spans = true;
+  const svc::AnalysisResponse hit = service.analyze(variant);
+  ASSERT_TRUE(hit.ok) << hit.error;
+  EXPECT_EQ(hit.cache_state, "hit");
+  EXPECT_EQ(hit.key, cold.key);
+  EXPECT_GE(span_index(hit.spans, "parse"), 0);
+  ASSERT_NE(hit.canonical_json, nullptr);
+  EXPECT_EQ(*hit.canonical_json, *cold.canonical_json);
+
+  // The original spelling still skips the parse.
+  svc::AnalysisRequest original = bench_request("adfast");
+  original.trace_spans = true;
+  const svc::AnalysisResponse front = service.analyze(original);
+  EXPECT_EQ(front.cache_state, "hit");
+  EXPECT_EQ(span_index(front.spans, "parse"), -1);
+  EXPECT_EQ(service.stats().misses, 1);
+  EXPECT_EQ(service.stats().hits, 2);
+}
+
+TEST(FrontIndex, AstgEqnBoundaryDoesNotAliasTwoDesigns) {
+  // parse_astg stops at .end, so moving the netlist behind the astg's
+  // .end line turns an explicit-netlist design into a synthesized one:
+  // the same concatenated bytes, two different designs.
+  const auto& bench = benchdata::benchmark("imec-ram-read-sbuf");
+  ASSERT_TRUE(bench.astg.ends_with(".end\n"));
+  ASSERT_FALSE(bench.eqn.empty());
+  svc::AnalysisService service;
+  svc::AnalysisRequest split = bench_request("imec-ram-read-sbuf");
+  const svc::AnalysisResponse explicit_netlist = service.analyze(split);
+  ASSERT_TRUE(explicit_netlist.ok) << explicit_netlist.error;
+
+  svc::AnalysisRequest joined = split;
+  joined.astg = bench.astg + bench.eqn;
+  joined.eqn.clear();
+  joined.trace_spans = true;
+  const svc::AnalysisResponse synthesized = service.analyze(joined);
+  EXPECT_NE(synthesized.key, explicit_netlist.key);
+  EXPECT_NE(synthesized.cache_state, "hit");
+  EXPECT_GE(span_index(synthesized.spans, "parse"), 0);
+  EXPECT_EQ(service.stats().hits, 0);
+
+  // And each spelling keeps finding its own design.
+  EXPECT_EQ(service.analyze(split).key, explicit_netlist.key);
+  EXPECT_EQ(service.analyze(joined).key, synthesized.key);
+}
+
+TEST(FrontIndex, EvictedDesignReparsesAndCountsAMiss) {
+  std::size_t size_a = 0, size_b = 0;
+  {
+    svc::AnalysisService probe;
+    ASSERT_TRUE(probe.analyze(bench_request("adfast")).ok);
+    size_a = probe.stats().bytes;
+    ASSERT_TRUE(probe.analyze(bench_request("atod")).ok);
+    size_b = probe.stats().bytes - size_a;
+  }
+  svc::ServiceOptions options;
+  options.cache_budget_bytes = std::max(size_a, size_b);
+  svc::AnalysisService service(options);
+  svc::AnalysisRequest adfast = bench_request("adfast");
+  adfast.trace_spans = true;
+  ASSERT_TRUE(service.analyze(adfast).ok);
+  ASSERT_TRUE(service.analyze(bench_request("atod")).ok);  // evicts adfast
+  EXPECT_EQ(service.stats().evictions, 1);
+
+  const svc::AnalysisResponse again = service.analyze(adfast);
+  ASSERT_TRUE(again.ok) << again.error;
+  EXPECT_EQ(again.cache_state, "fresh");
+  EXPECT_GE(span_index(again.spans, "parse"), 0);
+  const svc::CacheStats stats = service.stats();
+  EXPECT_EQ(stats.misses, 3);
+  EXPECT_EQ(stats.hits, 0);
+  EXPECT_LE(stats.bytes, stats.budget_bytes);
+}
+
+TEST(FrontIndex, DiskWarmedEntryIsFrontHittableAfterOneParse) {
+  std::string dir =
+      (std::filesystem::temp_directory_path() / "sitime_front_XXXXXX")
+          .string();
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  svc::ServiceOptions options;
+  options.cache_dir = dir;
+  svc::AnalysisRequest request = bench_request("ebergen");
+  request.trace_spans = true;
+  std::string cold_json;
+  {
+    svc::AnalysisService spill(options);
+    const svc::AnalysisResponse cold = spill.analyze(request);
+    ASSERT_TRUE(cold.ok) << cold.error;
+    cold_json = *cold.canonical_json;
+  }
+
+  svc::AnalysisService warm(options);
+  ASSERT_EQ(warm.warm_from_disk(), 1);
+  const std::size_t loaded_bytes = warm.stats().bytes;
+  const svc::AnalysisResponse first = warm.analyze(request);
+  ASSERT_TRUE(first.ok) << first.error;
+  EXPECT_EQ(first.cache_state, "hit");
+  EXPECT_GE(span_index(first.spans, "parse"), 0);
+  // The adopted spelling is charged to the entry.
+  EXPECT_GE(warm.stats().bytes, loaded_bytes + request.astg.size());
+
+  const svc::AnalysisResponse second = warm.analyze(request);
+  ASSERT_TRUE(second.ok) << second.error;
+  EXPECT_EQ(second.cache_state, "hit");
+  EXPECT_EQ(span_index(second.spans, "parse"), -1);
+  ASSERT_NE(second.canonical_json, nullptr);
+  EXPECT_EQ(*second.canonical_json, cold_json);
+  EXPECT_EQ(warm.stats().misses, 0);
+  std::error_code ignored;
+  std::filesystem::remove_all(dir, ignored);
+}
+
+TEST(FrontIndex, ConcurrentRawRepeatsAgreeAndBalanceTheBooks) {
+  // Eight threads release one raw request at once, twice: a cold round
+  // (one run, the rest coalesce or hit) and a warm round of front hits.
+  constexpr int kThreads = 8;
+  svc::AnalysisService service;
+  const svc::AnalysisRequest request = bench_request("imec-ram-read-sbuf");
+  std::vector<svc::AnalysisResponse> responses(2 * kThreads);
+  for (int round = 0; round < 2; ++round) {
+    std::atomic<int> ready{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+      threads.emplace_back([&, t] {
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) std::this_thread::yield();
+        responses[round * kThreads + t] = service.analyze(request);
+      });
+    for (std::thread& thread : threads) thread.join();
+  }
+  for (const svc::AnalysisResponse& response : responses) {
+    ASSERT_TRUE(response.ok) << response.error;
+    EXPECT_EQ(response.key, responses[0].key);
+    ASSERT_NE(response.canonical_json, nullptr);
+    EXPECT_EQ(*response.canonical_json, *responses[0].canonical_json);
+  }
+  for (int t = kThreads; t < 2 * kThreads; ++t)
+    EXPECT_EQ(responses[t].cache_state, "hit");
+  const svc::CacheStats stats = service.stats();
+  EXPECT_EQ(stats.misses, 1);
+  EXPECT_EQ(stats.hits + stats.coalesced, 2 * kThreads - 1);
+  EXPECT_EQ(stats.entries, 1);
 }
 
 // ---- cancellation and deadlines ------------------------------------------

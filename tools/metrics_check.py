@@ -18,6 +18,9 @@ a traced request, a warm repeat pass, and a {"metrics": true} /
     snapshot taken next to the scrape;
   - the traced request returns spans naming every phase run, fitting
     inside the total handling time;
+  - the warm pass is served by the raw-bytes front index: its traced
+    repeat has no parse span, and the parse-phase histogram count does
+    not grow during it;
   - --slow-ms 1 logged at least one span breakdown to stderr;
   - `sitime_serve --metrics` prints a one-shot catalog that passes the
     same syntax validation.
@@ -142,7 +145,9 @@ def main():
     )
     requests.append({"id": "m1", "metrics": True})
     requests.append({"id": "s1", "stats": True})
-    requests += [{"id": f"h-{b}", "design": {"bench": b}} for b in BENCHES]
+    warm = [{"id": f"h-{b}", "design": {"bench": b}} for b in BENCHES]
+    warm[0]["trace_spans"] = True  # the warm pass's traced repeat
+    requests += warm
     requests.append({"id": "m2", "metrics": True})
     requests.append({"id": "s2", "stats": True})
 
@@ -245,6 +250,17 @@ def main():
     assert sg_builds > 0, "no sg build observations"
 
     check_spans(by_id["t"])
+
+    # The raw-bytes front index is live: a byte-identical repeat of a
+    # resident design is answered without a parse, so the traced warm
+    # repeat has no parse span and the parse-phase histogram does not
+    # grow during the warm pass.
+    repeat_names = [span["name"] for span in by_id[f"h-{BENCHES[0]}"]["spans"]]
+    assert "parse" not in repeat_names, repeat_names
+    parse_label = r'phase="parse"'
+    parses1 = counter_value(scrape1, "sitime_phase_seconds_count", parse_label)
+    parses2 = counter_value(scrape2, "sitime_phase_seconds_count", parse_label)
+    assert parses1 > 0 and parses2 == parses1, (parses1, parses2)
 
     # Cold flow runs take ≥ 1 ms, so --slow-ms 1 must have logged some.
     assert "slow request" in proc.stderr, proc.stderr
