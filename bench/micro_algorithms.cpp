@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks for the core algorithms, backing the
-// complexity discussion of Section 5.6.1: projection, a relaxation step,
-// redundant-arc elimination, state-graph construction, Hack decomposition,
-// QM minimization, and the end-to-end flow on the largest benchmark.
+// complexity discussion of Section 5.6.1: projection (one imec job, and
+// every job of a ring), a relaxation step, redundant-arc elimination,
+// state-graph construction, Hack decomposition, QM minimization, and the
+// end-to-end flow on the largest benchmark.
 #include <benchmark/benchmark.h>
 
 #include "benchdata/benchmarks.hpp"
@@ -59,6 +60,30 @@ void BM_LocalStgProjection(benchmark::State& state) {
     benchmark::DoNotOptimize(core::local_stg(component, gate).arcs().size());
 }
 BENCHMARK(BM_LocalStgProjection);
+
+// Every (component x gate) projection of an n-signal ring: the cold path's
+// scaling term (each gate hides all but two or three of the n signals).
+void BM_LocalStgProjectionRing(benchmark::State& state) {
+  const benchdata::Benchmark bench =
+      benchdata::ring_design(static_cast<int>(state.range(0)));
+  const stg::Stg stg = benchdata::load_stg(bench);
+  const circuit::Circuit circuit = benchdata::load_circuit(bench, stg);
+  const sg::GlobalSg global = sg::build_global_sg(stg);
+  const auto values = sg::initial_values(stg, global);
+  std::vector<stg::MgStg> components;
+  for (const pn::MgComponent& component : pn::mg_components(stg.net))
+    components.push_back(core::mg_from_component(stg, component, values));
+  for (auto _ : state)
+    for (const stg::MgStg& component : components)
+      for (const circuit::Gate& gate : circuit.gates())
+        benchmark::DoNotOptimize(
+            core::local_stg(component, gate).arcs().size());
+}
+BENCHMARK(BM_LocalStgProjectionRing)
+    ->Arg(16)
+    ->Arg(32)
+    ->Arg(64)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_RelaxationStep(benchmark::State& state) {
   // One trial of the Expand inner loop: try a relaxation, then roll it

@@ -1,5 +1,7 @@
 #include "benchdata/benchmarks.hpp"
 
+#include <utility>
+
 #include "base/error.hpp"
 #include "sg/state_graph.hpp"
 #include "stg/astg.hpp"
@@ -418,6 +420,63 @@ const Benchmark& benchmark(const std::string& name) {
   for (const Benchmark& bench : all_benchmarks())
     if (bench.name == name) return bench;
   fail("benchmark: unknown benchmark '" + name + "'");
+}
+
+Benchmark ring_design(int signals) {
+  check(signals >= 2, "ring_design: needs at least two signals");
+  std::vector<std::string> s;
+  // (Appending, not "s" + to_string(i): gcc 12 misreports that as
+  // -Wrestrict.)
+  for (int i = 0; i < signals; ++i)
+    s.push_back(std::string("s").append(std::to_string(i)));
+  std::vector<std::string> order;
+  for (const auto& name : s) order.push_back(name + "+");
+  for (const auto& name : s) order.push_back(name + "-");
+  Benchmark bench;
+  bench.name = "ring" + std::to_string(signals);
+  std::string& g = bench.astg;
+  g = ".model " + bench.name + "\n.inputs " + s[0] + "\n.outputs";
+  for (int i = 1; i < signals; ++i) g += " " + s[i];
+  g += "\n.graph\n";
+  for (std::size_t i = 0; i < order.size(); ++i)
+    g += order[i] + " " + order[(i + 1) % order.size()] + "\n";
+  g += ".marking { <" + order.back() + "," + order.front() + "> }\n.end\n";
+  for (int i = 1; i < signals; ++i)
+    bench.eqn += s[i] + " = " + s[i - 1] + ";\n";
+  return bench;
+}
+
+Benchmark muller_pipeline(int stages) {
+  check(stages >= 1, "muller_pipeline: needs at least one stage");
+  // c[0] = r, c[1..n] = the C-elements, c[n+1] = a.
+  std::vector<std::string> c{"r"};
+  for (int i = 1; i <= stages; ++i)
+    c.push_back(std::string("c").append(std::to_string(i)));
+  c.push_back("a");
+  const int n = stages;
+  std::vector<std::pair<std::string, std::string>> arcs;
+  for (int i = 1; i <= n; ++i) {
+    arcs.emplace_back(c[i - 1] + "+", c[i] + "+");
+    arcs.emplace_back(c[i - 1] + "-", c[i] + "-");
+    arcs.emplace_back(c[i + 1] + "-", c[i] + "+");
+    arcs.emplace_back(c[i + 1] + "+", c[i] + "-");
+  }
+  arcs.emplace_back(c[1] + "+", c[0] + "-");
+  arcs.emplace_back(c[1] + "-", c[0] + "+");
+  arcs.emplace_back(c[n] + "+", c[n + 1] + "+");
+  arcs.emplace_back(c[n] + "-", c[n + 1] + "-");
+  Benchmark bench;
+  bench.name = "muller" + std::to_string(stages);
+  std::string& g = bench.astg;
+  g = ".model " + bench.name + "\n.inputs " + c[0] + " " + c[n + 1] +
+      "\n.outputs";
+  for (int i = 1; i <= n; ++i) g += " " + c[i];
+  g += "\n.graph\n";
+  for (const auto& [from, to] : arcs) g += from + " " + to + "\n";
+  g += ".marking {";
+  for (int i = 0; i <= n; ++i) g += " <" + c[i + 1] + "-," + c[i] + "+>";
+  g += " }\n.end\n";
+  return bench;
 }
 
 stg::Stg load_stg(const Benchmark& bench) {

@@ -31,6 +31,21 @@ const std::vector<Benchmark>& all_benchmarks();
 /// Lookup by name; throws on unknown names.
 const Benchmark& benchmark(const std::string& name);
 
+// ---- parametric scaling families -------------------------------------------
+// Built in memory, so cost curves can be measured past the fixed suite.
+
+/// An n-signal ring, named "ring<n>": s0+ -> s1+ -> ... -> s(n-1)+ -> s0-
+/// -> ... -> s(n-1)- -> s0+, one token on the closing arc. s0 is the
+/// input; every other signal is a buffer of its predecessor (the EQN).
+Benchmark ring_design(int signals);
+
+/// An n-stage Muller pipeline, named "muller<n>": C-elements c1..cn
+/// between the input request r and the input acknowledge a. Stage i rises
+/// after its predecessor rose and its successor fell, and falls after its
+/// predecessor fell and its successor rose; everything starts low. No EQN:
+/// load_circuit() synthesizes the netlist.
+Benchmark muller_pipeline(int stages);
+
 /// Parses the benchmark's STG.
 stg::Stg load_stg(const Benchmark& bench);
 

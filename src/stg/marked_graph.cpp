@@ -131,23 +131,45 @@ std::string MgStg::transition_text(int t) const {
 void MgStg::project(const std::vector<bool>& keep_signal) {
   check(static_cast<int>(keep_signal.size()) == signals_->count(),
         "project: keep mask size mismatch");
+  bool swept = false;
   for (int t = 0; t < transition_count(); ++t) {
     if (!alive_[t] || keep_signal[transitions_[t].signal]) continue;
     // Splice causality through t: every predecessor connects to every
     // successor, accumulating the token counts of the two spliced places.
     const std::vector<int> before = preds(t);
     const std::vector<int> after = succs(t);
+    std::vector<int> tokens_out;
+    tokens_out.reserve(after.size());
+    for (int s : after) tokens_out.push_back(arc_tokens(t, s));
+    const std::size_t old_count = arcs_.size();
     for (int p : before) {
       const int tokens_in = arc_tokens(p, t);
-      for (int s : after) {
-        const int tokens_out = arc_tokens(t, s);
-        insert_arc(p, s, tokens_in + tokens_out);
-      }
+      for (std::size_t j = 0; j < after.size(); ++j)
+        insert_arc(p, after[j], tokens_in + tokens_out[j]);
     }
+    // insert_arc appends fresh arcs at the back; the removals below erase
+    // only older arcs, so the fresh ones stay the last `fresh` entries.
+    const int fresh = static_cast<int>(arcs_.size() - old_count);
     for (int p : before) remove_arc(p, t);
     for (int s : after) remove_arc(t, s);
     alive_[t] = false;
-    eliminate_redundant_arcs();
+    if (!swept) {
+      eliminate_redundant_arcs();
+      swept = true;
+      continue;
+    }
+    // Every older arc is still irredundant (see the header), so the full
+    // sweep's "erase the first redundant arc, rescan" reduces to the
+    // fresh suffix (all of kind normal, as the sweep requires).
+    const int first_fresh = static_cast<int>(arcs_.size()) - fresh;
+    for (int i = first_fresh; i < static_cast<int>(arcs_.size());) {
+      if (arc_redundant(i)) {
+        arcs_.erase(arcs_.begin() + i);
+        i = first_fresh;
+      } else {
+        ++i;
+      }
+    }
   }
 }
 

@@ -102,8 +102,18 @@ class MgStg {
 
   // ---- Chapter 5 algorithms ----------------------------------------------
   /// Algorithm 1: hides every transition whose signal is not in
-  /// `keep_signal` (indexed by signal id), rebuilding causality through the
-  /// hidden events and eliminating redundant arcs after each elimination.
+  /// `keep_signal` (indexed by signal id) in id order, splicing each
+  /// hidden event's predecessors to its successors. The first hidden
+  /// transition is followed by a full eliminate_redundant_arcs() sweep;
+  /// every later splice tests only the p -> s arcs it appended (in index
+  /// order, erasing the first redundant one and rescanning). That is
+  /// exactly the full sweep's result: a splice keeps every token distance
+  /// between the surviving transitions (a path through the hidden event
+  /// becomes one spliced arc of the same token sum, and a spliced arc
+  /// stands for such a path), so an arc that was irredundant stays
+  /// irredundant, and erasing an arc only lengthens paths, so it never
+  /// makes another arc redundant. Hiding nothing leaves the arcs
+  /// untouched.
   void project(const std::vector<bool>& keep_signal);
 
   /// Algorithm 2: relaxes the arc x* => y*, making the two events concurrent

@@ -24,6 +24,7 @@
 
 #include "base/error.hpp"
 #include "benchdata/benchmarks.hpp"
+#include "core/report.hpp"
 #include "svc/analysis_service.hpp"
 #include "svc/json.hpp"
 #include "svc/server.hpp"
@@ -202,22 +203,6 @@ std::string report_of(const std::string& line) {
   std::size_t end = line.find(",\"spans\":", start);
   if (end == std::string::npos) end = line.size() - 1;
   return line.substr(start + 9, end - start - 9);
-}
-
-/// A JSON-escaped .g text of an n-signal ring: s0+ ... s(n-1)+ s0- ...
-/// s(n-1)- back to s0+, one token on the closing arc.
-std::string ring_astg_json(int signals) {
-  std::vector<std::string> order;
-  for (const char edge : {'+', '-'})
-    for (int i = 0; i < signals; ++i)
-      order.push_back("s" + std::to_string(i) + edge);
-  std::string g = ".model ring\\n.inputs s0\\n.outputs";
-  for (int i = 1; i < signals; ++i) g += " s" + std::to_string(i);
-  g += "\\n.graph\\n";
-  for (std::size_t i = 0; i < order.size(); ++i)
-    g += order[i] + " " + order[(i + 1) % order.size()] + "\\n";
-  g += ".marking { <" + order.back() + "," + order.front() + "> }\\n.end\\n";
-  return g;
 }
 
 // ---- tests -----------------------------------------------------------------
@@ -811,7 +796,8 @@ TEST(Server, DesignWiderThanTheStateCodeIsTooLargeAndSurvives) {
   // 65 signals do not fit the 64-bit state code: a structured too_large,
   // not a generic analysis error, and the connection keeps serving.
   client.send("{\"id\":\"ring65\",\"design\":{\"astg\":\"" +
-              ring_astg_json(65) + "\",\"name\":\"ring65\"}}\n" +
+              core::json_escape(benchdata::ring_design(65).astg) +
+              "\",\"name\":\"ring65\"}}\n" +
               bench_request_line("after", "adfast"));
   client.shutdown_write();
   const std::vector<std::string> lines = client.read_all();

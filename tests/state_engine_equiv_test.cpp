@@ -6,9 +6,17 @@
 // and every entry of the embedded benchmark suite is pushed through both
 // paths. The packed engine must agree exactly: state counts, state ids,
 // markings, codes, adjacency, and the emitted constraint sets.
+//
+// Projection gets the same treatment: MgStg::project tests only the arcs
+// each splice appends, and must produce exactly the arcs of the old
+// full-sweep-after-every-splice algorithm on every job of the suite and
+// of the ring and Muller families, plus seeded random keep masks.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
+#include <random>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -23,6 +31,12 @@
 #include "sg/state_graph.hpp"
 
 namespace sitime {
+
+namespace benchdata {
+// Names a design parameter in gtest output instead of dumping its bytes.
+void PrintTo(const Benchmark& bench, std::ostream* out) { *out << bench.name; }
+}  // namespace benchdata
+
 namespace {
 
 // ---- legacy reference implementations -------------------------------------
@@ -332,6 +346,51 @@ core::ConstraintSet legacy_constraints(const stg::Stg& impl,
   return after;
 }
 
+/// Algorithm 1 as MgStg::project ran it before the fresh-arc sweep: splice
+/// each hidden transition in id order, then a full redundant-arc sweep.
+/// The hidden transition keeps its alive flag here (no public setter); it
+/// has no arcs left, so no later splice or sweep can see it.
+void legacy_project(stg::MgStg& mg, const std::vector<bool>& keep) {
+  for (int t = 0; t < mg.transition_count(); ++t) {
+    if (!mg.alive(t) || keep[mg.label(t).signal]) continue;
+    const std::vector<int> before = mg.preds(t);
+    const std::vector<int> after = mg.succs(t);
+    for (int p : before) {
+      const int tokens_in = mg.arc_tokens(p, t);
+      for (int s : after) mg.insert_arc(p, s, tokens_in + mg.arc_tokens(t, s));
+    }
+    for (int p : before) mg.remove_arc(p, t);
+    for (int s : after) mg.remove_arc(t, s);
+    mg.eliminate_redundant_arcs();
+  }
+}
+
+/// Projects `component` onto `keep` both ways and compares. `fast` is the
+/// production projection of the same component and mask.
+void expect_projection_matches_legacy(const stg::MgStg& component,
+                                      const std::vector<bool>& keep,
+                                      const stg::MgStg& fast,
+                                      const std::string& what) {
+  stg::MgStg legacy = component;
+  legacy_project(legacy, keep);
+  EXPECT_EQ(fast.arcs(), legacy.arcs()) << what;
+  bool hid = false;
+  for (int t = 0; t < component.transition_count(); ++t) {
+    const bool kept = keep[component.label(t).signal];
+    hid = hid || (component.alive(t) && !kept);
+    EXPECT_EQ(fast.alive(t), component.alive(t) && kept)
+        << what << " transition " << t;
+  }
+  if (hid) {
+    // The fresh-arc sweep left nothing for a full sweep to remove.
+    stg::MgStg swept = fast;
+    swept.eliminate_redundant_arcs();
+    EXPECT_EQ(swept.arcs(), fast.arcs()) << what;
+  } else {
+    EXPECT_EQ(fast.arcs(), component.arcs()) << what;
+  }
+}
+
 // ---- the suite ------------------------------------------------------------
 
 class StateEngineEquiv : public ::testing::TestWithParam<std::string> {};
@@ -410,6 +469,67 @@ std::vector<std::string> benchmark_names() {
     names.push_back(bench.name);
   return names;
 }
+
+// Projection runs on every bundled design plus the scaling families, where
+// each gate hides all but a few signals of a long component.
+class ProjectionEquiv : public ::testing::TestWithParam<benchdata::Benchmark> {
+};
+
+TEST_P(ProjectionEquiv, ProjectionMatchesLegacy) {
+  const benchdata::Benchmark& bench = GetParam();
+  const stg::Stg stg = benchdata::load_stg(bench);
+  const circuit::Circuit circuit = benchdata::load_circuit(bench, stg);
+  const sg::GlobalSg global = sg::build_global_sg(stg);
+  const std::vector<int> values = sg::initial_values(stg, global);
+  const int signal_count = stg.signals.count();
+  std::mt19937 rng(2011);
+  int component_index = 0;
+  for (const pn::MgComponent& component : pn::mg_components(stg.net)) {
+    const stg::MgStg component_stg =
+        core::mg_from_component(stg, component, values);
+    const std::string where =
+        bench.name + " component " + std::to_string(component_index++);
+    // Every (component x gate) job, through the production entry point.
+    for (const circuit::Gate& gate : circuit.gates()) {
+      std::vector<bool> keep(signal_count, false);
+      keep[gate.output] = true;
+      for (int fanin : gate.fanins) keep[fanin] = true;
+      expect_projection_matches_legacy(
+          component_stg, keep, core::local_stg(component_stg, gate),
+          where + " gate " + stg.signals.name(gate.output));
+    }
+    // Seeded random masks from sparse to dense, plus keep-everything.
+    for (int round = 0; round < 24; ++round) {
+      std::bernoulli_distribution kept(0.1 + 0.8 * (round % 4) / 3.0);
+      std::vector<bool> keep(signal_count);
+      for (int sig = 0; sig < signal_count; ++sig) keep[sig] = kept(rng);
+      if (round == 0) keep.assign(signal_count, true);
+      stg::MgStg fast = component_stg;
+      fast.project(keep);
+      expect_projection_matches_legacy(component_stg, keep, fast,
+                                       where + " mask " +
+                                           std::to_string(round));
+    }
+  }
+}
+
+std::vector<benchdata::Benchmark> projection_designs() {
+  std::vector<benchdata::Benchmark> designs = benchdata::all_benchmarks();
+  for (int n = 3; n <= 48; n += (n < 16 ? 1 : 8))
+    designs.push_back(benchdata::ring_design(n));
+  for (int stages = 2; stages <= 9; ++stages)
+    designs.push_back(benchdata::muller_pipeline(stages));
+  return designs;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllDesigns, ProjectionEquiv,
+                         ::testing::ValuesIn(projection_designs()),
+                         [](const auto& info) {
+                           std::string name = info.param.name;
+                           for (char& c : name)
+                             if (c == '-') c = '_';
+                           return name;
+                         });
 
 INSTANTIATE_TEST_SUITE_P(AllBenchmarks, StateEngineEquiv,
                          ::testing::ValuesIn(benchmark_names()),

@@ -25,6 +25,12 @@ two classes:
     determinism flags, entry counts. These must not drift with the
     hardware; ANY change is flagged, and fails the job under --strict.
 
+Timings only compare on like hardware: when both files record a
+top-level hardware_concurrency and the two core counts differ, the table
+carries a note saying so and its timing and speedup rows are shown
+without regression flags. Deterministic drift (and --strict) is checked
+the same way at any core count.
+
 Boolean leaves participate as 0/1.
 """
 import argparse
@@ -102,6 +108,11 @@ def main() -> int:
             fresh = {}
             flatten(json.load(f), "", fresh)
 
+        base_cores = base.get("hardware_concurrency")
+        fresh_cores = fresh.get("hardware_concurrency")
+        cross_core = (base_cores is not None and fresh_cores is not None
+                      and base_cores != fresh_cores)
+
         rows = []
         for path in sorted(set(base) | set(fresh)):
             b, f_ = base.get(path), fresh.get(path)
@@ -115,7 +126,9 @@ def main() -> int:
             if is_volatile(path):
                 # Timings regress UP; speedup ratios (the delta-path's
                 # cold/warm quotient) regress DOWN.
-                if "seconds" in path and delta > args.threshold:
+                if cross_core:
+                    flag = ""
+                elif "seconds" in path and delta > args.threshold:
                     flag = "regression"
                 elif "speedup" in path and delta < -args.threshold:
                     flag = "regression"
@@ -129,6 +142,11 @@ def main() -> int:
         if not rows:
             print("_all tracked metrics unchanged_")
             continue
+        if cross_core:
+            print(f"_hardware_concurrency differs (baseline "
+                  f"{base_cores:g}, fresh {fresh_cores:g}): timing and "
+                  f"speedup rows are not comparable and carry no "
+                  f"regression flags_\n")
         print("| metric | baseline | fresh | delta | |")
         print("|---|---:|---:|---:|---|")
         for path, b, f_, delta, flag in rows:
