@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks for the core algorithms, backing the
 // complexity discussion of Section 5.6.1: projection (one imec job, and
-// every job of a ring), a relaxation step, redundant-arc elimination,
+// every job of a ring), SG synthesis of Muller pipelines, a ring's
+// component key base, a relaxation step, redundant-arc elimination,
 // state-graph construction, Hack decomposition, QM minimization, and the
 // end-to-end flow on the largest benchmark.
 #include <benchmark/benchmark.h>
@@ -12,6 +13,7 @@
 #include "pn/hack.hpp"
 #include "sg/sg_cache.hpp"
 #include "sg/state_graph.hpp"
+#include "synth/synthesis.hpp"
 
 namespace {
 
@@ -81,6 +83,40 @@ void BM_LocalStgProjectionRing(benchmark::State& state) {
 }
 BENCHMARK(BM_LocalStgProjectionRing)
     ->Arg(16)
+    ->Arg(32)
+    ->Arg(64)
+    ->Unit(benchmark::kMillisecond);
+
+// SG synthesis of an n-stage Muller pipeline (2^(n+2) states): the
+// netlist-free cold path's dominant term before the global SG itself.
+void BM_SynthesizeMuller(benchmark::State& state) {
+  const stg::Stg stg = benchdata::load_stg(
+      benchdata::muller_pipeline(static_cast<int>(state.range(0))));
+  const sg::GlobalSg global = sg::build_global_sg(stg);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(synth::synthesize(stg, global).size());
+}
+BENCHMARK(BM_SynthesizeMuller)
+    ->Arg(8)
+    ->Arg(9)
+    ->Arg(10)
+    ->Unit(benchmark::kMillisecond);
+
+// The derive-phase key base of a ring-n's one component: the adversary
+// weight matrix over its 2n transitions dominates.
+void BM_ComponentKeyBaseRing(benchmark::State& state) {
+  const stg::Stg stg = benchdata::load_stg(
+      benchdata::ring_design(static_cast<int>(state.range(0))));
+  const sg::GlobalSg global = sg::build_global_sg(stg);
+  const auto values = sg::initial_values(stg, global);
+  const stg::MgStg component =
+      core::mg_from_component(stg, pn::mg_components(stg.net)[0], values);
+  const circuit::AdversaryAnalysis adversary(&stg);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        core::component_key_base(component, &adversary).hash);
+}
+BENCHMARK(BM_ComponentKeyBaseRing)
     ->Arg(32)
     ->Arg(64)
     ->Unit(benchmark::kMillisecond);

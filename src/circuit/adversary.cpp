@@ -2,11 +2,16 @@
 
 #include <algorithm>
 #include <deque>
-#include <functional>
 
 #include "base/error.hpp"
 
 namespace sitime::circuit {
+
+namespace {
+
+constexpr int kUnvisited = -2;
+
+}  // namespace
 
 AdversaryAnalysis::AdversaryAnalysis(const stg::Stg* impl) : impl_(impl) {
   check(impl != nullptr, "AdversaryAnalysis: null STG");
@@ -21,6 +26,47 @@ AdversaryAnalysis::AdversaryAnalysis(const stg::Stg* impl) : impl_(impl) {
           token_free_succ_[from].push_back(to);
       }
   }
+  // Kahn's algorithm: the token-free graph is acyclic exactly when every
+  // transition gets peeled off.
+  std::vector<int> in_degree(net.transition_count(), 0);
+  for (const std::vector<int>& succ : token_free_succ_)
+    for (int to : succ) ++in_degree[to];
+  std::vector<int> ready;
+  for (int t = 0; t < net.transition_count(); ++t)
+    if (in_degree[t] == 0) ready.push_back(t);
+  int peeled = 0;
+  while (!ready.empty()) {
+    const int t = ready.back();
+    ready.pop_back();
+    ++peeled;
+    for (int to : token_free_succ_[t])
+      if (--in_degree[to] == 0) ready.push_back(to);
+  }
+  token_free_acyclic_ = peeled == net.transition_count();
+}
+
+int AdversaryAnalysis::path_weight(int t, int target,
+                                   std::vector<int>& best) const {
+  // best[t]: max intermediate weight of a token-free path t -> target, or
+  // -1 when target unreachable. The token-free subgraph of a live net is
+  // acyclic, so the memoized DFS terminates.
+  if (best[t] != kUnvisited) return best[t];
+  best[t] = -1;  // provisional: also breaks unexpected cycles safely
+  int result = -1;
+  for (int next : token_free_succ_[t]) {
+    if (next == target) {
+      result = std::max(result, 0);
+      continue;
+    }
+    const int tail = path_weight(next, target, best);
+    if (tail == -1) continue;
+    const int hop = impl_->signals.is_input(impl_->labels[next].signal)
+                        ? kEnvironmentWeight
+                        : 1;
+    result = std::max(result, std::min(hop + tail, kEnvironmentWeight));
+  }
+  best[t] = result;
+  return result;
 }
 
 int AdversaryAnalysis::weight(const stg::TransitionLabel& from,
@@ -32,31 +78,29 @@ int AdversaryAnalysis::weight(const stg::TransitionLabel& from,
   const int source = impl_->find_transition(from);
   const int target = impl_->find_transition(to);
   if (source == -1 || target == -1) return kEnvironmentWeight;
-  // best[t]: max intermediate weight of a token-free path t -> target, or
-  // -1 when target unreachable. The token-free subgraph of a live net is
-  // acyclic, so memoized DFS terminates.
-  std::vector<int> best(impl_->net.transition_count(), -2);  // -2 = unvisited
-  std::function<int(int)> visit = [&](int t) -> int {
-    if (best[t] != -2) return best[t];
-    best[t] = -1;  // provisional: also breaks unexpected cycles safely
-    int result = -1;
-    for (int next : token_free_succ_[t]) {
-      if (next == target) {
-        result = std::max(result, 0);
-        continue;
-      }
-      const int tail = visit(next);
-      if (tail == -1) continue;
-      const int hop = impl_->signals.is_input(impl_->labels[next].signal)
-                          ? kEnvironmentWeight
-                          : 1;
-      result = std::max(result, std::min(hop + tail, kEnvironmentWeight));
-    }
-    best[t] = result;
-    return result;
-  };
-  const int w = visit(source);
+  std::vector<int> best(impl_->net.transition_count(), kUnvisited);
+  const int w = path_weight(source, target, best);
   return w == -1 ? kEnvironmentWeight : w;
+}
+
+std::vector<int> AdversaryAnalysis::weights_to(
+    const stg::TransitionLabel& to) const {
+  const int count = impl_->net.transition_count();
+  std::vector<int> weights(count, kEnvironmentWeight);
+  if (impl_->signals.is_input(to.signal)) return weights;
+  const int target = impl_->find_transition(to);
+  if (target == -1) return weights;
+  // On an acyclic graph every memo entry is a pure function of its
+  // transition, so one memo serves all sources. A cycle makes entries
+  // depend on the visit order through the provisional -1, so each source
+  // then starts from a fresh memo exactly like weight().
+  std::vector<int> best(count, kUnvisited);
+  for (int source = 0; source < count; ++source) {
+    if (!token_free_acyclic_) std::fill(best.begin(), best.end(), kUnvisited);
+    const int w = path_weight(source, target, best);
+    weights[source] = w == -1 ? kEnvironmentWeight : w;
+  }
+  return weights;
 }
 
 std::vector<std::vector<int>> AdversaryAnalysis::paths(

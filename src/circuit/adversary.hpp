@@ -36,6 +36,12 @@ class AdversaryAnalysis {
   int weight(const stg::TransitionLabel& from,
              const stg::TransitionLabel& to) const;
 
+  /// weight(label of t, to) for every implementation transition t (index =
+  /// transition id), from one memoized pass toward `to` instead of one
+  /// pass per source. Equal to weight() pairwise; when the token-free graph
+  /// has a cycle each source gets its own pass, as in weight().
+  std::vector<int> weights_to(const stg::TransitionLabel& to) const;
+
   /// Up to `limit` simple acknowledgement paths x* -> y* (sequences of STG
   /// transition ids, inclusive of endpoints). Unlike weight(), paths may
   /// cross initially-marked places: in steady state those chains still race
@@ -52,7 +58,12 @@ class AdversaryAnalysis {
   const stg::Stg& impl() const { return *impl_; }
 
  private:
+  /// Memoized weight recurrence from `t` toward `target` over `best`
+  /// (kUnvisited = not yet computed, -1 = target unreachable).
+  int path_weight(int t, int target, std::vector<int>& best) const;
+
   const stg::Stg* impl_;
+  bool token_free_acyclic_ = true;
   std::vector<std::vector<int>> token_free_succ_;  // within-round adjacency
   std::vector<std::vector<int>> all_succ_;         // including marked places
 };

@@ -97,9 +97,15 @@ std::vector<FlowJob> enumerate_flow_jobs(int components, int gates) {
 FlowDecomposition decompose_flow(const stg::Stg& impl,
                                  const circuit::Circuit& circuit,
                                  const CancelToken& cancel) {
+  return decompose_flow(
+      impl, circuit,
+      sg::build_global_sg(impl, /*state_limit=*/1 << 20, cancel));
+}
+
+FlowDecomposition decompose_flow(const stg::Stg& impl,
+                                 const circuit::Circuit& circuit,
+                                 const sg::GlobalSg& global) {
   FlowDecomposition decomposition;
-  const sg::GlobalSg global =
-      sg::build_global_sg(impl, /*state_limit=*/1 << 20, cancel);
   decomposition.state_count = global.state_count();
   decomposition.initial_values = sg::initial_values(impl, global);
 

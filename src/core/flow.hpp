@@ -29,6 +29,10 @@
 #include "core/local_stg.hpp"
 #include "stg/stg.hpp"
 
+namespace sitime::sg {
+struct GlobalSg;
+}  // namespace sitime::sg
+
 namespace sitime::core {
 
 // The cancellation vocabulary the flow hands down to the leaves lives in
@@ -193,6 +197,13 @@ std::vector<FlowJob> enumerate_flow_jobs(int components, int gates);
 FlowDecomposition decompose_flow(const stg::Stg& impl,
                                  const circuit::Circuit& circuit,
                                  const CancelToken& cancel = {});
+
+/// decompose_flow on the already built global SG of `impl` (from
+/// sg::build_global_sg), so a caller that built it for synthesis does not
+/// build it twice.
+FlowDecomposition decompose_flow(const stg::Stg& impl,
+                                 const circuit::Circuit& circuit,
+                                 const sg::GlobalSg& global);
 
 /// Calls visit(job, local_stg) for every job, handing each gate's local STG
 /// (Algorithm 1 projection) by value. Returning false from visit stops the

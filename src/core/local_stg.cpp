@@ -163,11 +163,22 @@ ComponentKeyBase component_key_base(
     words.push_back((static_cast<std::uint64_t>(order_policy) << 48) |
                     (static_cast<std::uint64_t>(max_depth) << 32) |
                     static_cast<std::uint64_t>(max_steps));
-    for (int from : alive)
-      for (int to : alive) {
+    // One weights_to pass per target; the words keep the from-major
+    // order of pairwise weight() calls.
+    const std::size_t n = alive.size();
+    std::vector<int> impl_ids(n);
+    std::vector<std::vector<int>> columns(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      impl_ids[i] =
+          adversary->impl().find_transition(component.label(alive[i]));
+      columns[i] = adversary->weights_to(component.label(alive[i]));
+    }
+    for (std::size_t from = 0; from < n; ++from)
+      for (std::size_t to = 0; to < n; ++to) {
         if (from == to) continue;
         words.push_back(static_cast<std::uint64_t>(
-            adversary->weight(component.label(from), component.label(to))));
+            impl_ids[from] == -1 ? circuit::kEnvironmentWeight
+                                 : columns[to][impl_ids[from]]));
       }
   }
   ComponentKeyBase base;

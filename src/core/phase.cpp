@@ -49,16 +49,17 @@ void run_decompose_phase(PhaseArtifacts& artifacts,
     base::injected_failure(base::FaultPoint::decompose);
   cancel.poll("decompose phase");
   const auto start = std::chrono::steady_clock::now();
-  if (artifacts.circuit == nullptr) {
-    const sg::GlobalSg global =
-        sg::build_global_sg(*artifacts.stg, /*state_limit=*/1 << 20, cancel);
+  // One global SG feeds synthesis (when the artifact has no netlist) and
+  // the decomposition.
+  const sg::GlobalSg global =
+      sg::build_global_sg(*artifacts.stg, /*state_limit=*/1 << 20, cancel);
+  if (artifacts.circuit == nullptr)
     artifacts.circuit = std::make_shared<const circuit::Circuit>(
         circuit::Circuit::from_synthesis(
             &artifacts.stg->signals,
             synth::synthesize(*artifacts.stg, global)));
-  }
   artifacts.decomposition =
-      decompose_flow(*artifacts.stg, *artifacts.circuit, cancel);
+      decompose_flow(*artifacts.stg, *artifacts.circuit, global);
   // Pin the STG the decomposition's component projections point into, so
   // a cache can hold the decomposition beyond this artifact's lifetime.
   artifacts.decomposition.source = artifacts.stg;

@@ -7,6 +7,7 @@
 #include "circuit/circuit.hpp"
 #include "circuit/padding.hpp"
 #include "core/flow.hpp"
+#include "stg/signal.hpp"
 
 namespace sitime::circuit {
 namespace {
@@ -129,6 +130,66 @@ TEST_F(ImecAdversary, PathsAreSimple) {
     std::set<int> seen(path.begin(), path.end());
     EXPECT_EQ(seen.size(), path.size());
   }
+}
+
+/// weights_to(to)[from] against weight(from, to) for every ordered pair of
+/// the given labels (transitions the STG lacks weigh kEnvironmentWeight).
+void expect_weights_to_matches_weight(
+    const AdversaryAnalysis& analysis,
+    const std::vector<stg::TransitionLabel>& labels,
+    const std::string& where) {
+  for (const stg::TransitionLabel& to : labels) {
+    const std::vector<int> column = analysis.weights_to(to);
+    ASSERT_EQ(static_cast<int>(column.size()),
+              analysis.impl().net.transition_count());
+    for (const stg::TransitionLabel& from : labels) {
+      const int source = analysis.impl().find_transition(from);
+      const int batched = source == -1 ? kEnvironmentWeight : column[source];
+      EXPECT_EQ(batched, analysis.weight(from, to))
+          << where << ": " << stg::label_text(from, analysis.impl().signals)
+          << " -> " << stg::label_text(to, analysis.impl().signals);
+    }
+  }
+}
+
+TEST(AdversaryWeightsTo, MatchesPairwiseWeightOnEveryComponent) {
+  std::vector<benchdata::Benchmark> designs = benchdata::all_benchmarks();
+  for (int signals : {3, 8, 16, 32, 64})
+    designs.push_back(benchdata::ring_design(signals));
+  for (int stages = 2; stages <= 10; ++stages)
+    designs.push_back(benchdata::muller_pipeline(stages));
+  for (const benchdata::Benchmark& bench : designs) {
+    const stg::Stg stg = benchdata::load_stg(bench);
+    const AdversaryAnalysis analysis(&stg);
+    const core::FlowDecomposition decomposition = core::decompose_flow(
+        stg, benchdata::load_circuit(bench, stg));
+    for (const stg::MgStg& component : decomposition.component_stgs) {
+      std::vector<stg::TransitionLabel> labels;
+      for (int t = 0; t < component.transition_count(); ++t)
+        if (component.alive(t)) labels.push_back(component.label(t));
+      expect_weights_to_matches_weight(analysis, labels, bench.name);
+    }
+  }
+}
+
+TEST(AdversaryWeightsTo, MatchesPairwiseWeightOnATokenFreeCycle) {
+  // y+ and z+ feed each other through unmarked places, and only y+ reaches
+  // t+. A memo shared across sources would keep z+'s entry from the pass
+  // that entered it through y+ (y+ still provisional, so z+ -> t+ looks
+  // unreachable), while weight(z+, t+) itself finds z+ -> y+ -> t+.
+  stg::Stg stg;
+  const int y = stg.signals.add("y", stg::SignalKind::output);
+  const int z = stg.signals.add("z", stg::SignalKind::output);
+  const int t = stg.signals.add("t", stg::SignalKind::output);
+  const int yp = stg.add_transition({y, true, 1});
+  const int zp = stg.add_transition({z, true, 1});
+  const int tp = stg.add_transition({t, true, 1});
+  stg.connect(yp, tp);
+  stg.connect(yp, zp);
+  stg.connect(zp, yp);
+  const AdversaryAnalysis analysis(&stg);
+  EXPECT_EQ(analysis.weight(stg.labels[zp], stg.labels[tp]), 1);
+  expect_weights_to_matches_weight(analysis, stg.labels, "cycle");
 }
 
 TEST(Padding, StrongConstraintsGetWirePads) {

@@ -8,6 +8,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/un.h>
@@ -122,6 +123,13 @@ class TestClient {
       }
       buffer_.append(chunk, static_cast<std::size_t>(got));
     }
+  }
+
+  /// True when read_line would return without waiting for the server.
+  bool line_ready() {
+    if (buffer_.find('\n') != std::string::npos) return true;
+    pollfd ready{fd_, POLLIN, 0};
+    return ::poll(&ready, 1, /*timeout=*/0) > 0;
   }
 
   /// Every remaining line until EOF.
@@ -721,11 +729,26 @@ TEST(Server, QueueAgeValveShedsStaleRequestsAtDequeue) {
   // The follower queues behind the stalled (~40 ms) plug, so by the time
   // the worker reaches it, it has aged far past the 2 ms valve.
   svc::FaultScope stall(svc::FaultPoint::worker_stall, /*nth=*/1);
+  // Under load the plug itself can wait past the 2 ms valve before the
+  // worker picks it up: it is then shed and never reaches the stall. Resend
+  // it while its reply is a shed and the stall has not fired.
+  std::string line;
   plug.send(bench_request_line("plug", "adfast"));
-  wait_for_stalled_plug();
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (svc::FaultInjector::instance().fired(
+             svc::FaultPoint::worker_stall) < 1 &&
+         std::chrono::steady_clock::now() < give_up) {
+    if (plug.line_ready()) {
+      ASSERT_TRUE(plug.read_line(line));
+      ASSERT_NE(line.find("\"code\":\"overloaded\""), std::string::npos)
+          << line;
+      plug.send(bench_request_line("plug", "adfast"));
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
   stale.send(bench_request_line("stale", "adfast"));
 
-  std::string line;
   ASSERT_TRUE(stale.read_line(line));
   EXPECT_EQ(id_of(line), "stale");
   EXPECT_NE(line.find("\"code\":\"overloaded\""), std::string::npos)
