@@ -419,10 +419,6 @@ std::string verify_speed_independent(const FlowDecomposition& decomposition,
                        ? decomposition.key_cache->verify_bases(build_bases)
                        : build_bases();
   }
-  sg::SgBuildOptions sg_build = options.sg_build;
-  sg_build.state_limit = sg::kDefaultSgStateLimit;
-  sg_build.token_limit = sg::kDefaultSgTokenLimit;
-  sg_build.cancel = options.cancel;
   for_each_flow_job(
       decomposition,
       [&](const FlowJob& job) {
@@ -442,7 +438,9 @@ std::string verify_speed_independent(const FlowDecomposition& decomposition,
         } else {
           const stg::MgStg local = local_stg(
               decomposition.component_stgs[job.component], gate);
-          const sg::StateGraph graph = sg::build_state_graph(local, sg_build);
+          const sg::StateGraph graph = sg::build_state_graph(
+              local, sg::kDefaultSgStateLimit, sg::kDefaultSgTokenLimit,
+              options.cancel, options.sg_build_seconds);
           conformant = timing_conformant(graph, local, gate);
           if (gate_store != nullptr) {
             auto slice = std::make_shared<GateSlice>();

@@ -102,7 +102,7 @@ struct FlowOptions {
   /// other concurrent runs share the same cache.
   sg::SgCache* sg_cache = nullptr;
   /// Cooperative cancellation, polled in every hot loop of the flow (job
-  /// dispatch, SG BFS frontiers, Expand relaxation steps). A cancelled
+  /// dispatch, SG builds, Expand relaxation steps). A cancelled
   /// flow throws base::CancelledError; it never returns a partial result,
   /// and the shared SgCache only ever holds fully built graphs, so a
   /// later uncancelled run yields the canonical answer. Also copied into
@@ -118,14 +118,10 @@ struct FlowOptions {
   /// job-order merge makes a flow mixing cached and fresh slices
   /// byte-identical to a fully cold run at any worker count.
   GateSliceStore* gate_store = nullptr;
-  /// Construction knobs for the state graphs the verify phase builds
-  /// directly (workers != 1 turns on the frontier-parallel BFS). The
-  /// state/token limits and cancel of this member are ignored — the flow
-  /// always builds with the library defaults and its own `cancel` — and
-  /// the verdicts/constraints are byte-identical for every setting.
-  /// Expand-loop SG builds are configured on the SgCache instead
-  /// (sg::SgCache::set_build_options).
-  sg::SgBuildOptions sg_build;
+  /// Latency sink for the state graphs the verify phase builds directly
+  /// (null = none). Expand-loop SG builds observe the SgCache's own sink
+  /// instead (sg::SgCache::set_build_seconds).
+  base::MetricHistogram* sg_build_seconds = nullptr;
 };
 
 /// One (MG component × gate) unit of flow work.

@@ -52,18 +52,13 @@ class SgCache {
   std::shared_ptr<const StateGraph> get_or_build(
       const stg::MgStg& mg, const base::CancelToken& cancel = {});
 
-  /// Construction knobs miss builds run with (frontier-parallel expansion,
-  /// latency sinks). The per-call `cancel` always wins over
-  /// `options.cancel`; the state/token limits stay at the library defaults
-  /// regardless of `options` — cached graphs must not depend on who
-  /// triggered the miss. Call before sharing the cache across threads
-  /// (a resident service sets it once at construction); the built graphs
-  /// are byte-identical for every setting, so late changes affect only
-  /// speed.
-  void set_build_options(const SgBuildOptions& options) {
-    build_options_ = options;
-    build_options_.state_limit = kDefaultSgStateLimit;
-    build_options_.token_limit = kDefaultSgTokenLimit;
+  /// Latency sink every miss build observes (null = none). Call before
+  /// sharing the cache across threads (a resident service sets it once at
+  /// construction). Miss builds always use the library's default
+  /// state/token limits: cached graphs must not depend on who triggered
+  /// the miss.
+  void set_build_seconds(base::MetricHistogram* build_seconds) {
+    build_seconds_ = build_seconds;
   }
 
   // 64-bit: a resident service (svc::AnalysisService) keeps one cache for
@@ -89,7 +84,7 @@ class SgCache {
   static constexpr int kShardCount = 16;
 
   Shard shards_[kShardCount];
-  SgBuildOptions build_options_;
+  base::MetricHistogram* build_seconds_ = nullptr;
   std::atomic<long long> hits_{0};
   std::atomic<long long> misses_{0};
 };

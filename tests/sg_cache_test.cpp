@@ -2,12 +2,13 @@
 // keep the hit/miss accounting exact (hits + misses == calls), converge on
 // one canonical graph per key (racing builders adopt the winner's graph),
 // and keep distinct keys separate however they collide on shards and
-// buckets.
+// buckets. A cancelled build throws and leaves the cache untouched.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
+#include "base/cancel.hpp"
 #include "base/thread_pool.hpp"
 #include "sg/sg_cache.hpp"
 #include "sg/state_graph.hpp"
@@ -45,9 +46,8 @@ stg::MgStg ring_stg(SignalTable& table, int signals) {
 
 /// A fork-join diamond: a+ forks N concurrent rises p0+..pN-1+, which
 /// join into a-, forking N concurrent falls joining back into a+ (token on
-/// every pi- => a+ arc). The BFS frontier mid-diamond holds C(N, k)
-/// interleavings, so every level crosses a forced frontier threshold of 1
-/// and the parallel expansion really runs wide.
+/// every pi- => a+ arc). Each half holds 2^N interleavings, so the SG is
+/// large enough for the BFS to reach its periodic cancellation polls.
 stg::MgStg diamond_stg(SignalTable& table, int width) {
   table = SignalTable();
   const int a = table.add("a", SignalKind::input);
@@ -69,40 +69,30 @@ stg::MgStg diamond_stg(SignalTable& table, int width) {
   return mg;
 }
 
-TEST(SgBuild, ParallelFrontierMatchesSerialStateNumberingExactly) {
-  // The acceptance contract of the frontier-parallel builder: the same
-  // StateGraph — state numbering, codes, CSR rows — at ANY worker count,
-  // frontier threshold, or pool, element for element. Under TSan this
-  // also stresses the per-level merge for races.
+TEST(SgBuild, CancelledBuildThrows) {
   SignalTable table;
   const stg::MgStg mg = diamond_stg(table, 8);
-  const sg::StateGraph serial = sg::build_state_graph(mg);
   // 2^8 interleavings per half-diamond plus the two join states.
-  ASSERT_EQ(serial.state_count(), 2 * 256);
+  ASSERT_EQ(build_state_graph(mg).state_count(), 2 * 256);
+  base::CancelSource source;
+  source.request_cancel();
+  EXPECT_THROW(build_state_graph(mg, kDefaultSgStateLimit,
+                                 kDefaultSgTokenLimit, source.token()),
+               base::CancelledError);
+}
 
-  base::ThreadPool pool(8);
-  struct Config {
-    int workers;
-    int threshold;
-  };
-  for (const Config config :
-       {Config{8, 1}, Config{8, 64}, Config{0, 1}, Config{2, 4}}) {
-    for (int round = 0; round < 4; ++round) {
-      SgBuildOptions options;
-      options.workers = config.workers;
-      options.pool = &pool;
-      options.frontier_threshold = config.threshold;
-      const sg::StateGraph parallel = sg::build_state_graph(mg, options);
-      ASSERT_EQ(parallel.state_count(), serial.state_count())
-          << "workers=" << config.workers
-          << " threshold=" << config.threshold;
-      EXPECT_EQ(parallel.codes, serial.codes);
-      EXPECT_EQ(parallel.out_offsets, serial.out_offsets);
-      EXPECT_EQ(parallel.out_data, serial.out_data);
-      for (int s = 0; s < serial.state_count(); ++s)
-        ASSERT_EQ(parallel.marking(s), serial.marking(s)) << "state " << s;
-    }
-  }
+TEST(SgCache, CancelledMissThrowsAndInsertsNothing) {
+  // The get_or_build contract: a cancelled build throws before anything
+  // is inserted, so the cache never holds a partial graph.
+  SignalTable table;
+  const stg::MgStg mg = diamond_stg(table, 8);
+  SgCache cache;
+  base::CancelSource source;
+  source.request_cancel();
+  EXPECT_THROW(cache.get_or_build(mg, source.token()), base::CancelledError);
+  EXPECT_EQ(cache.entries(), 0);
+  EXPECT_EQ(cache.get_or_build(mg)->state_count(), 2 * 256);
+  EXPECT_EQ(cache.entries(), 1);
 }
 
 TEST(SgCache, HitMissAccountingIsExact) {

@@ -544,6 +544,45 @@ TEST(AnalysisService, TraceSpansTagLazyUpgradesAsUpgrade) {
 
 // ---- raw-bytes front index -----------------------------------------------
 
+TEST(AnalysisServiceMetrics, SgBuildLatencyIsOneUnlabelledSeries) {
+  // Every SG build — SgCache misses and the verify phase's direct builds —
+  // lands in one series whatever the worker count, so its count covers at
+  // least every cache miss.
+  svc::ServiceOptions options;
+  options.jobs = 4;
+  svc::AnalysisService service(options);
+  ASSERT_TRUE(service.analyze(bench_request("imec-ram-read-sbuf")).ok);
+  const benchdata::Benchmark ring = benchdata::ring_design(16);
+  svc::AnalysisRequest request;
+  request.name = ring.name;
+  request.astg = ring.astg;
+  request.eqn = ring.eqn;
+  ASSERT_TRUE(service.analyze(request).ok);
+
+  const std::string text = service.metrics().render_prometheus();
+  const auto sample_lines = [&](const std::string& name) {
+    std::vector<std::string> lines;
+    std::size_t at = 0;
+    while ((at = text.find(name, at)) != std::string::npos) {
+      const std::size_t end = text.find('\n', at);
+      if (at == 0 || text[at - 1] == '\n')
+        lines.push_back(text.substr(at, end - at));
+      at = end;
+    }
+    return lines;
+  };
+  const auto builds = sample_lines("sitime_sg_build_seconds_count");
+  ASSERT_EQ(builds.size(), 1u) << text;
+  ASSERT_EQ(builds[0].rfind("sitime_sg_build_seconds_count ", 0), 0u)
+      << builds[0];
+  const auto misses = sample_lines("sitime_sg_cache_misses_total ");
+  ASSERT_EQ(misses.size(), 1u) << text;
+  const double build_count = std::stod(builds[0].substr(builds[0].find(' ')));
+  const double miss_count = std::stod(misses[0].substr(misses[0].find(' ')));
+  EXPECT_GT(miss_count, 0);
+  EXPECT_GE(build_count, miss_count);
+}
+
 TEST(FrontIndex, ByteIdenticalRepeatSkipsParsingAndServesTheColdBytes) {
   svc::AnalysisService service;
   svc::AnalysisRequest request = bench_request("imec-ram-read-sbuf");

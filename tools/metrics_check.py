@@ -241,11 +241,16 @@ def main():
         assert counter_value(scrape2, family) == 0, (family, scrape2)
     assert stats2["disk_writes"] == stats2["disk_loads"] == 0, stats2
 
-    # State-graph build latency is observed by configured mode; the flows
-    # above built local SGs, so the histogram family must exist and hold
-    # at least one observation (whatever the serial/parallel split under
-    # --jobs 2).
+    # Every state-graph build observes one unlabelled latency series; the
+    # flows above built local SGs, so it must exist and hold at least one
+    # observation.
     assert typed2.get("sitime_sg_build_seconds") == "histogram", typed2
+    sg_build_series = [
+        labels
+        for name, labels in scrape2
+        if name == "sitime_sg_build_seconds_count"
+    ]
+    assert sg_build_series == [""], sg_build_series
     sg_builds = counter_value(scrape2, "sitime_sg_build_seconds_count")
     assert sg_builds > 0, "no sg build observations"
 
