@@ -76,57 +76,6 @@ constexpr int kSgCacheMaxEntries = 1 << 16;
 
 }  // namespace
 
-/// The parsed design plus its canonical identity, built once per request.
-/// Keying is deliberately cheap: it never synthesizes — a design without an
-/// explicit netlist is keyed by its canonical STG plus a "synthesized"
-/// marker, because the synthesized circuit is a pure function of the STG.
-struct AnalysisService::Parsed {
-  std::unique_ptr<stg::Stg> stg;  // heap: Circuit/MgStg point into it
-  std::unique_ptr<circuit::Circuit> circuit;  // null until synthesized
-  std::string canonical;  // exact cache key (content + options)
-  std::string key_hex;    // public content-address
-  /// The canonical STG text alone — the decomposition-cache key, a strict
-  /// prefix component of `canonical` (a netlist-only edit changes
-  /// `canonical` but not this).
-  std::string stg_canonical;
-};
-
-AnalysisService::Parsed AnalysisService::parse_request(
-    const AnalysisRequest& request, const core::ExpandOptions& expand) {
-  if (base::fault_fires(base::FaultPoint::parse))
-    base::injected_failure(base::FaultPoint::parse);
-  Parsed parsed;
-  parsed.stg = std::make_unique<stg::Stg>(stg::parse_astg(request.astg));
-  if (!request.eqn.empty())
-    parsed.circuit = std::make_unique<circuit::Circuit>(
-        circuit::Circuit::from_equations(&parsed.stg->signals, request.eqn));
-
-  // Canonical content: the *parsed* STG and netlist rendered back out (so
-  // whitespace, comments and equation formatting cannot split one design
-  // into several keys), plus every option that can change the answer.
-  // Worker counts are excluded by design (the orchestrator guarantees
-  // byte-identical output for any jobs value) — and so is the request
-  // MODE: the mode selects which phases of the one entry must be complete,
-  // it does not change any artifact.
-  parsed.stg_canonical = stg::write_astg(*parsed.stg);
-  std::string canonical;
-  canonical.reserve(request.astg.size() + 64);
-  canonical += "astg\x1f";
-  canonical += parsed.stg_canonical;
-  canonical += "\x1f""eqn\x1f";
-  canonical += parsed.circuit != nullptr ? parsed.circuit->to_eqn()
-                                         : "(synthesized)";
-  canonical += "\x1f""order\x1f";
-  canonical += std::to_string(static_cast<int>(expand.order));
-  canonical += "\x1f""max_steps\x1f";
-  canonical += std::to_string(expand.max_steps);
-  canonical += "\x1f""max_depth\x1f";
-  canonical += std::to_string(expand.max_depth);
-  parsed.key_hex = fnv1a_hex(canonical);
-  parsed.canonical = std::move(canonical);
-  return parsed;
-}
-
 /// One resident design: the staged PhaseArtifacts plus the rendered
 /// products, advanced in place by lazy phase upgrades.
 ///
@@ -142,8 +91,8 @@ AnalysisService::Parsed AnalysisService::parse_request(
 ///   - A request that finds a runner active waits on `cv` for the phases
 ///     it shares with the run and claims whatever the run leaves missing
 ///     afterwards — or, from pool-task context, where blocking could
-///     deadlock on its own help-while-wait stack, bypasses the entry and
-///     runs privately.
+///     deadlock on its own help-while-wait stack, runs a private entry
+///     (never indexed, retained or spilled) through the same runner path.
 ///   - A failed run parks the entry at its last completed phase
 ///     (target = completed), records `run_error` for the current waiters,
 ///     and keeps the phases that did succeed; failures are never cached.
@@ -226,6 +175,52 @@ struct AnalysisService::Entry {
   }
 };
 
+/// Parses the request into a fresh, idle entry holding the parsed design
+/// plus its canonical identity. Keying is deliberately cheap: it never
+/// synthesizes — a design without an explicit netlist is keyed by its
+/// canonical STG plus a "synthesized" marker, because the synthesized
+/// circuit is a pure function of the STG.
+std::shared_ptr<AnalysisService::Entry> AnalysisService::parse_request(
+    const AnalysisRequest& request, const core::ExpandOptions& expand) {
+  if (base::fault_fires(base::FaultPoint::parse))
+    base::injected_failure(base::FaultPoint::parse);
+  // Not make_shared: a dead front slot then pins only the control block,
+  // not the entry's storage.
+  auto entry = std::shared_ptr<Entry>(new Entry);
+  entry->artifacts.stg =
+      std::make_shared<const stg::Stg>(stg::parse_astg(request.astg));
+  if (!request.eqn.empty())
+    entry->artifacts.circuit = std::make_shared<const circuit::Circuit>(
+        circuit::Circuit::from_equations(&entry->artifacts.stg->signals,
+                                         request.eqn));
+  entry->explicit_netlist = entry->artifacts.circuit != nullptr;
+
+  // Canonical content: the *parsed* STG and netlist rendered back out (so
+  // whitespace, comments and equation formatting cannot split one design
+  // into several keys), plus every option that can change the answer.
+  // Worker counts are excluded by design (the orchestrator guarantees
+  // byte-identical output for any jobs value) — and so is the request
+  // MODE: the mode selects which phases of the one entry must be complete,
+  // it does not change any artifact.
+  entry->stg_canonical = stg::write_astg(*entry->artifacts.stg);
+  std::string canonical;
+  canonical.reserve(request.astg.size() + 64);
+  canonical += "astg\x1f";
+  canonical += entry->stg_canonical;
+  canonical += "\x1f""eqn\x1f";
+  canonical += entry->explicit_netlist ? entry->artifacts.circuit->to_eqn()
+                                       : "(synthesized)";
+  canonical += "\x1f""order\x1f";
+  canonical += std::to_string(static_cast<int>(expand.order));
+  canonical += "\x1f""max_steps\x1f";
+  canonical += std::to_string(expand.max_steps);
+  canonical += "\x1f""max_depth\x1f";
+  canonical += std::to_string(expand.max_depth);
+  entry->key_hex = fnv1a_hex(canonical);
+  entry->canonical = std::move(canonical);
+  return entry;
+}
+
 AnalysisService::AnalysisService(ServiceOptions options)
     : options_(std::move(options)),
       designs_(options_.cache_budget_bytes, /*shards=*/1,
@@ -266,8 +261,8 @@ void AnalysisService::register_metrics() {
       "Requests answered with error_code deadline_exceeded.");
   const char* kPhaseRuns = "sitime_phase_runs_total";
   const char* kPhaseRunsHelp =
-      "Phase executions, single-flight bypass runs included (derive "
-      "counts runs that produced constraints).";
+      "Phase executions, private-entry runs of pool-task duplicates "
+      "included (derive counts runs that produced constraints).";
   decompose_runs_ =
       &metrics_.counter(kPhaseRuns, kPhaseRunsHelp, "phase=\"decompose\"");
   verify_runs_ =
@@ -622,10 +617,7 @@ void AnalysisService::finish_run(const std::shared_ptr<Entry>& entry,
   decompose_runs_->inc(run.decomposes);
   verify_runs_->inc(run.verifies);
   derive_runs_->inc(run.derives);
-  if (ok)
-    (from_scratch ? misses_ : upgrades_)->inc();
-  else
-    failures_->inc();
+  if (ok) (from_scratch ? misses_ : upgrades_)->inc();
 
   // A successor runner may have claimed the entry between our run ending
   // and this epilogue: if the entry has already advanced past what we
@@ -790,13 +782,11 @@ AnalysisResponse AnalysisService::analyze(const AnalysisRequest& request) {
   const auto start = std::chrono::steady_clock::now();
   AnalysisResponse response;
 
-  // Fills an error response, keeping the deadline_exceeded counter in
-  // step with every response that carries that code (runner, waiter or
-  // bypass alike). failures_ is counted per-site: the runner path counts
-  // it in finish_run, the others here.
-  auto fail_with = [&](const std::string& message, const std::string& code,
-                       bool count_failure) {
-    if (count_failure) failures_->inc();
+  // Fills an error response, keeping the failure and deadline_exceeded
+  // counters in step with every response that carries an error (runner
+  // and waiter alike).
+  auto fail_with = [&](const std::string& message, const std::string& code) {
+    failures_->inc();
     if (code == "deadline_exceeded") deadline_exceeded_->inc();
     response.ok = false;
     response.error = message;
@@ -808,51 +798,58 @@ AnalysisResponse AnalysisService::analyze(const AnalysisRequest& request) {
   // deadline answer is known and parsing large designs is not free.
   if (request.cancel.deadline_expired()) {
     fail_with("deadline exceeded before analysis started",
-              "deadline_exceeded", /*count_failure=*/true);
+              "deadline_exceeded");
     return response;
   }
 
-  // A byte-identical repeat of a resident entry's spelling is served
-  // from the entry without parsing or keying.
-  const std::uint64_t spelling = spelling_hash(request.astg, request.eqn);
-  std::shared_ptr<Entry> entry = front_lookup(spelling, request);
-  Parsed parsed;
-  if (entry != nullptr) {
-    response.key = entry->key_hex;
-  } else {
+  // This request's own parse: null until parsed, and again once donated
+  // to a new shared entry.
+  std::shared_ptr<Entry> parsed;
+  // Parses into `parsed`; false = the response already holds the failure.
+  auto parse = [&] {
     try {
       const double parse_begin = seconds_since(start);
       parsed = parse_request(request, options_.expand);
-      response.key = parsed.key_hex;
+      response.key = parsed->key_hex;
       const double parse_seconds = seconds_since(start) - parse_begin;
       phase_seconds_[0][0]->observe(parse_seconds);
       if (request.trace_spans)
         response.spans.push_back(
             {"parse", parse_begin, parse_seconds, "cold", ""});
+      return true;
     } catch (const std::exception& error) {
       // Injected parse faults are infrastructure failures, not malformed
       // designs; everything else parse_request throws is bad input.
       const bool injected =
           dynamic_cast<const FaultInjectedError*>(&error) != nullptr;
       fail_with(error.what(),
-                injected ? "analysis_error" : "invalid_request",
-                /*count_failure=*/true);
-      return response;
+                injected ? "analysis_error" : "invalid_request");
+      return false;
     }
-    const int signals = parsed.stg->signals.count();
+  };
+
+  // A byte-identical repeat of a resident entry's spelling is served
+  // from the entry without parsing or keying.
+  const std::uint64_t spelling = spelling_hash(request.astg, request.eqn);
+  std::shared_ptr<Entry> entry = front_lookup(spelling, request);
+  if (entry != nullptr) {
+    response.key = entry->key_hex;
+  } else {
+    if (!parse()) return response;
+    const int signals = parsed->artifacts.stg->signals.count();
     if (signals > kMaxSignals) {
       fail_with("design has " + std::to_string(signals) +
                     " signals; state codes hold at most " +
                     std::to_string(kMaxSignals),
-                "too_large", /*count_failure=*/true);
+                "too_large");
       return response;
     }
 
     // Find or create the ONE entry for this design — resident, in
-    // flight, or brand new (the creator donates its parsed design and its
-    // spelling to the entry).
+    // flight, or brand new (the creator donates its parsed entry and its
+    // spelling).
     std::lock_guard<std::mutex> lock(mutex_);
-    entry = designs_.lookup(parsed.canonical).entry;
+    entry = designs_.lookup(parsed->canonical).entry;
     if (entry != nullptr) {
       if (entry->spelled_astg.empty()) {
         // Warmed from disk: adopt this spelling and re-charge the entry
@@ -868,19 +865,11 @@ AnalysisResponse AnalysisService::analyze(const AnalysisRequest& request) {
         designs_.insert(entry->canonical, Resident{entry, bytes});
         remember_spelling_locked(spelling, entry);
       }
-    } else if (const auto in_flight = inflight_.find(parsed.canonical);
+    } else if (const auto in_flight = inflight_.find(parsed->canonical);
                in_flight != inflight_.end()) {
       entry = in_flight->second;
     } else {
-      // Not make_shared: a dead front slot then pins only the control
-      // block, not the entry's storage.
-      entry = std::shared_ptr<Entry>(new Entry);
-      entry->key_hex = parsed.key_hex;
-      entry->explicit_netlist = parsed.circuit != nullptr;
-      entry->artifacts.stg = std::move(parsed.stg);
-      entry->artifacts.circuit = std::move(parsed.circuit);
-      entry->canonical = std::move(parsed.canonical);
-      entry->stg_canonical = std::move(parsed.stg_canonical);
+      entry = std::move(parsed);
       if (options_.cache_budget_bytes > 0) {
         entry->spelled_astg = request.astg;
         entry->spelled_eqn = request.eqn;
@@ -894,7 +883,7 @@ AnalysisResponse AnalysisService::analyze(const AnalysisRequest& request) {
                                  ? core::Phase::verified
                                  : core::Phase::derived;
 
-  // The per-(entry, phase) machine: serve, wait, run, or bypass.
+  // The per-(entry, phase) machine: serve, wait, or run.
   bool waited = false;
   double wait_begin = 0.0;  // offset of the first coalesced wait
   std::unique_lock<std::mutex> elock(entry->mutex);
@@ -929,8 +918,18 @@ AnalysisResponse AnalysisService::analyze(const AnalysisRequest& request) {
     if (entry->target > entry->completed) {  // a runner is active
       // Pool-task duplicates must never block on the run: it may be frames
       // beneath this very stack (work stealing + help-while-wait). They
-      // run privately below; the runner keeps the cache slot.
-      if (base::ThreadPool::in_task()) break;
+      // run a private entry instead, through the same path below; it is
+      // never indexed, retained or spilled, so the runner keeps the cache
+      // slot. A parse that was donated (or skipped by the front index) is
+      // redone.
+      if (base::ThreadPool::in_task()) {
+        elock.unlock();
+        if (parsed == nullptr && !parse()) return response;
+        parsed->spill_attempted = true;
+        entry = std::move(parsed);
+        elock = std::unique_lock<std::mutex>(entry->mutex);
+        continue;
+      }
       // Wait for the active run to end (waking at every phase publish in
       // case it already covers us); whatever it leaves missing we claim
       // ourselves on a later iteration. Deliberately NOT extending the
@@ -947,13 +946,13 @@ AnalysisResponse AnalysisService::analyze(const AnalysisRequest& request) {
         entry->cv.wait_until(elock, request.cancel.wait_point());
         if (request.cancel.cancelled() && !entry->satisfies(needed)) {
           const bool deadline = request.cancel.deadline_expired();
+          response.netlist_eqn = entry->netlist_eqn;
           elock.unlock();
           fail_with(deadline ? "deadline exceeded while coalesced on an "
                                "in-flight run"
                              : "cancelled while coalesced on an in-flight "
                                "run",
-                    deadline ? "deadline_exceeded" : "cancelled",
-                    /*count_failure=*/true);
+                    deadline ? "deadline_exceeded" : "cancelled");
           return response;
         }
       } else {
@@ -965,8 +964,9 @@ AnalysisResponse AnalysisService::analyze(const AnalysisRequest& request) {
         const std::string code = entry->run_error_code.empty()
                                      ? "analysis_error"
                                      : entry->run_error_code;
+        response.netlist_eqn = entry->netlist_eqn;
         elock.unlock();
-        fail_with(error, code, /*count_failure=*/true);
+        fail_with(error, code);
         return response;
       }
       continue;  // served (or a new runner took over) — re-evaluate
@@ -1003,7 +1003,7 @@ AnalysisResponse AnalysisService::analyze(const AnalysisRequest& request) {
         std::lock_guard<std::mutex> lock(entry->mutex);
         response.netlist_eqn = entry->netlist_eqn;
       }
-      fail_with(error, error_code, /*count_failure=*/false);
+      fail_with(error, error_code);
       return response;
     }
     {
@@ -1016,80 +1016,6 @@ AnalysisResponse AnalysisService::analyze(const AnalysisRequest& request) {
     response.seconds = seconds_since(start);
     return response;
   }
-
-  // Single-flight bypass: a pool-task duplicate runs the phases privately
-  // on its own parsed design and publishes nothing.
-  elock.unlock();
-  core::PhaseArtifacts artifacts;
-  bool ok = true;
-  std::string error;
-  std::string error_code;
-  const double run_begin = seconds_since(start);
-  try {
-    if (parsed.stg == nullptr) {
-      // The front index served the entry without a parse, or we created
-      // the entry and donated our parse to it before another pool task
-      // claimed the run; parse again for the private copy.
-      parsed = parse_request(request, options_.expand);
-    }
-    artifacts.stg = std::move(parsed.stg);
-    artifacts.circuit = std::move(parsed.circuit);
-    core::advance_to_phase(artifacts, needed,
-                           flow_options(request.jobs, request.cancel));
-  } catch (const std::exception& exception) {
-    ok = false;
-    error = exception.what();
-    error_code = error_code_of(exception);
-  }
-  if (artifacts.circuit != nullptr)
-    response.netlist_eqn =
-        std::make_shared<const std::string>(artifacts.circuit->to_eqn());
-  RunStats run;
-  run.decomposes = artifacts.completed >= core::Phase::decomposed ? 1 : 0;
-  run.verifies = artifacts.completed >= core::Phase::verified ? 1 : 0;
-  run.derive_ran = artifacts.completed >= core::Phase::derived;
-  run.derives = artifacts.has_result ? 1 : 0;
-  run.decompose_seconds = artifacts.decompose_seconds;
-  run.verify_seconds = artifacts.verify_seconds;
-  run.derive_seconds = artifacts.derive_seconds;
-  if (artifacts.has_result) {
-    run.expand_seconds = artifacts.result.expand_seconds;
-    run.expand_steps = artifacts.result.expand_steps;
-    run.expand_subtasks = artifacts.result.expand_subtasks;
-    run.expand_jobs = artifacts.result.jobs;
-    run.gate_hits = artifacts.result.gate_hits;
-    run.gate_misses = artifacts.result.gate_misses;
-  }
-  decompose_runs_->inc(run.decomposes);
-  verify_runs_->inc(run.verifies);
-  derive_runs_->inc(run.derives);
-  if (ok) misses_->inc();  // a real flow run, never a wait
-  record_run_metrics(run, /*cold=*/true);
-  if (request.trace_spans)
-    append_run_spans(run, /*cold=*/true, run_begin, response.spans);
-  if (!ok) {
-    fail_with(error, error_code, /*count_failure=*/true);
-    return response;
-  }
-  response.ok = true;
-  response.cache_state = "fresh";
-  response.phases_run =
-      core::phase_range_text(core::Phase::parsed, artifacts.completed);
-  response.verify_offender = artifacts.verify_offender;
-  response.speed_independent = artifacts.verify_offender.empty();
-  if (request.mode == RequestMode::derive && artifacts.has_result) {
-    core::FlowReport rendered = core::make_flow_report(
-        /*design=*/"", artifacts.result, artifacts.stg->signals);
-    rendered.content_hash = response.key;
-    response.canonical_json = std::make_shared<const std::string>(
-        core::to_canonical_json(rendered));
-    response.rendered = std::make_shared<const core::RenderedReport>(
-        core::render_report(rendered));
-    response.report =
-        std::make_shared<const core::FlowReport>(std::move(rendered));
-  }
-  response.seconds = seconds_since(start);
-  return response;
 }
 
 int AnalysisService::warm_benchmark_suite(const std::atomic<bool>* stop) {
@@ -1170,8 +1096,8 @@ int AnalysisService::warm_from_disk() {
       continue;
     }
 
-    // Not make_shared, as in analyze(): a dead front slot pins only the
-    // control block.
+    // Not make_shared, as in parse_request(): a dead front slot pins only
+    // the control block.
     auto entry = std::shared_ptr<Entry>(new Entry);
     entry->canonical = std::move(artifact.canonical);
     entry->key_hex = std::move(artifact.key_hex);

@@ -164,9 +164,9 @@ struct AnalysisResponse {
   bool speed_independent = false;
   /// Canonical netlist of the design (from the request EQN or
   /// synthesized). Filled as soon as the netlist exists, so it is present
-  /// even when a later flow phase failed (ok == false); null only when
-  /// parsing/synthesis itself threw or the response came off a coalesced
-  /// failure. Shared with the cache entry — responses never copy it.
+  /// even when a later flow phase failed (ok == false), for the runner and
+  /// its coalesced waiters alike; null only when parsing/synthesis itself
+  /// threw. Shared with the cache entry — responses never copy it.
   std::shared_ptr<const std::string> netlist_eqn;
   /// The rendered report and its deterministic canonical JSON body; null
   /// for verify-only requests and failures. The report's content_hash is
@@ -202,9 +202,9 @@ struct CacheStats {
   /// OR-causality subSTG subtasks that observed a cancel and unwound
   /// early (freed pool workers), summed over all requests.
   long long cancelled_subtasks = 0;
-  // Phase executions (single-flight bypass runs included). A verify
-  // followed by a derive on one design shows decompose_runs == 1: the
-  // acceptance probe of the lazy-upgrade design.
+  // Phase executions (private-entry runs of pool-task duplicates
+  // included). A verify followed by a derive on one design shows
+  // decompose_runs == 1: the acceptance probe of the lazy-upgrade design.
   long long decompose_runs = 0;
   long long verify_runs = 0;
   long long derive_runs = 0;
@@ -285,9 +285,10 @@ class AnalysisService {
   /// on its canonical content. Thread-safe: any number of
   /// callers may be in analyze() concurrently; identical designs coalesce
   /// onto one phase run per (entry, phase) — except callers already inside
-  /// a pool task (base::ThreadPool::in_task()), which run the flow
-  /// themselves instead of blocking: a stolen duplicate on the owner's own
-  /// help-while-wait stack would otherwise deadlock. Dedicated request
+  /// a pool task (base::ThreadPool::in_task()), which find a runner active
+  /// and run a private, never-retained entry instead of blocking: a stolen
+  /// duplicate on the owner's own help-while-wait stack would otherwise
+  /// deadlock. Dedicated request
   /// threads (sitime_serve) get full coalescing. Never throws — failures
   /// come back as !ok responses (and are not cached; an entry keeps the
   /// phases that did succeed).
@@ -328,7 +329,6 @@ class AnalysisService {
 
  private:
   struct Entry;
-  struct Parsed;
   /// A resident design entry and the footprint it is charged (measured
   /// when its last run ended; entries grow in place on upgrades).
   struct Resident {
@@ -349,7 +349,7 @@ class AnalysisService {
     }
   };
 
-  /// What one single-flight run (or bypass run) actually executed, for
+  /// What one run of an entry (shared or private) actually executed, for
   /// counters, histograms and trace spans. Captured by the runner while
   /// it is still the sole toucher of the artifacts.
   struct RunStats {
@@ -374,8 +374,10 @@ class AnalysisService {
     long long gate_misses = 0;
   };
 
-  static Parsed parse_request(const AnalysisRequest& request,
-                              const core::ExpandOptions& expand);
+  /// A fresh, idle entry holding the parsed design and its keys; throws
+  /// on a malformed design or an injected parse fault.
+  static std::shared_ptr<Entry> parse_request(
+      const AnalysisRequest& request, const core::ExpandOptions& expand);
   /// The resident entry a byte-identical spelling parsed to, or null.
   /// Counts one design-level lookup when the slot's spelling matches.
   std::shared_ptr<Entry> front_lookup(std::uint64_t spelling,
@@ -400,7 +402,9 @@ class AnalysisService {
                   std::string& error_code, RunStats& run,
                   core::Phase& achieved, std::size_t& footprint);
   /// Runner epilogue under mutex_: retention (inflight -> design level or
-  /// resident re-charge) and counter updates.
+  /// resident re-charge; a private entry is never retained) and the
+  /// phase-run and success counters (failures are counted with the
+  /// response).
   void finish_run(const std::shared_ptr<Entry>& entry, bool from_scratch,
                   bool ok, core::Phase achieved, std::size_t footprint,
                   const RunStats& run);

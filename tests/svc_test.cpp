@@ -221,12 +221,93 @@ TEST(AnalysisService, PoolTaskDuplicatesBypassTheFlightInsteadOfBlocking) {
     EXPECT_EQ(*response.canonical_json, *responses[0].canonical_json);
   }
   const svc::CacheStats stats = service.stats();
-  // Bypass runs count as misses; coalescing never happens inside pool
-  // tasks, and whatever interleaving occurred, the books must balance.
+  // Private-entry runs count as misses; coalescing never happens inside
+  // pool tasks, and whatever interleaving occurred, the books must balance.
   EXPECT_GE(stats.misses, 1);
   EXPECT_EQ(stats.hits + stats.misses + stats.coalesced + stats.upgrades,
             kRequests);
   EXPECT_EQ(stats.entries, 1);
+}
+
+TEST(AnalysisService, PoolTaskDuplicateFailuresAreEachCountedOnce) {
+  // Pool-task duplicates run a private entry through the runner path, so a
+  // failing run is answered and counted exactly like a shared one: one
+  // failure per response, no success outcome, and only the shared entry
+  // (parked at its verified phases) is retained.
+  constexpr int kRequests = 8;
+  svc::ServiceOptions options;
+  options.expand.max_steps = 1;  // derive cannot finish under this budget
+  svc::AnalysisService service(options);
+  base::ThreadPool pool(2);
+  std::vector<svc::AnalysisResponse> responses(kRequests);
+  pool.parallel_for(0, kRequests, [&](int i) {
+    responses[i] = service.analyze(bench_request("imec-ram-read-sbuf"));
+  });
+  for (const svc::AnalysisResponse& response : responses) {
+    EXPECT_FALSE(response.ok);
+    EXPECT_EQ(response.error, responses[0].error);
+    EXPECT_EQ(response.error_code, "analysis_error");
+  }
+  const svc::CacheStats stats = service.stats();
+  EXPECT_EQ(stats.failures, kRequests);
+  EXPECT_EQ(stats.hits + stats.misses + stats.upgrades + stats.coalesced, 0);
+  EXPECT_EQ(stats.entries, 1);
+}
+
+TEST(AnalysisService, PoolTaskDuplicatesSpillOnlyTheSharedEntry) {
+  // A private entry is marked as already spilled, so a batch of pool-task
+  // duplicates writes the design to the store once. Both counters matter:
+  // two concurrent saves of one key race on one temp path, and the loser
+  // usually counts as a write error rather than a second write.
+  constexpr int kRequests = 8;
+  std::string dir =
+      (std::filesystem::temp_directory_path() / "sitime_dups_XXXXXX")
+          .string();
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  svc::ServiceOptions options;
+  options.cache_dir = dir;
+  {
+    svc::AnalysisService service(options);
+    base::ThreadPool pool(2);
+    std::vector<svc::AnalysisResponse> responses(kRequests);
+    pool.parallel_for(0, kRequests, [&](int i) {
+      responses[i] = service.analyze(bench_request("imec-ram-read-sbuf"));
+    });
+    for (const svc::AnalysisResponse& response : responses)
+      ASSERT_TRUE(response.ok) << response.error;
+    const svc::CacheStats stats = service.stats();
+    EXPECT_EQ(stats.disk_writes, 1);
+    EXPECT_EQ(stats.disk_write_errors, 0);
+  }
+  int files = 0;
+  for (const auto& file : std::filesystem::directory_iterator(dir))
+    if (file.path().extension() == ".sit") ++files;
+  EXPECT_EQ(files, 1);
+  std::error_code ignored;
+  std::filesystem::remove_all(dir, ignored);
+}
+
+TEST(AnalysisService, CoalescedFailuresCarryTheNetlist) {
+  // Waiters that inherit a runner's failure report the design's netlist
+  // just as the runner's own failure does: it exists from the decompose
+  // phase on, and the derive phase is what fails here.
+  constexpr int kThreads = 8;
+  svc::ServiceOptions options;
+  options.jobs = 1;
+  options.expand.max_steps = 1;  // derive cannot finish under this budget
+  svc::AnalysisService service(options);
+  std::vector<svc::AnalysisResponse> responses(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&service, &responses, t] {
+      responses[t] = service.analyze(bench_request("imec-ram-read-sbuf"));
+    });
+  for (std::thread& thread : threads) thread.join();
+  for (const svc::AnalysisResponse& response : responses) {
+    EXPECT_FALSE(response.ok);
+    ASSERT_NE(response.netlist_eqn, nullptr) << response.cache_state;
+    EXPECT_FALSE(response.netlist_eqn->empty());
+  }
 }
 
 TEST(AnalysisService, VerifyThenDeriveLazilyUpgradesOneEntry) {

@@ -61,12 +61,10 @@ def flatten(node, prefix, out):
 VOLATILE_MARKERS = (
     "seconds",
     "speedup",
-    "requests_per_sec",
     "hardware_concurrency",  # whatever machine CI hands us
     "peak_active_bodies",    # scheduling high-water mark, noisy by design
     "bytes",                 # footprints vary with the stdlib (SSO, nodes)
     "hits",                  # concurrent hit/coalesced split is a race
-    "coalesced",
     "pool_workers",
 )
 
